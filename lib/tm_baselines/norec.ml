@@ -54,6 +54,12 @@ module Make (S : Sched_intf.S) = struct
     | Some r -> Recorder.log r ~thread kind
     | None -> ()
 
+  (* The per-read and per-write call sites test this before building
+     the [Action] value, as TL2 does: with no recorder attached the
+     boxed action would be most of a transaction's allocation. *)
+  let[@inline] recording t =
+    match t.recorder with Some _ -> true | None -> false
+
   let abort_handler t txn cause =
     log t ~thread:txn.thread (Action.Response Action.Aborted);
     S.yield ();
@@ -105,11 +111,13 @@ module Make (S : Sched_intf.S) = struct
     end
 
   let read t txn x =
-    log t ~thread:txn.thread (Action.Request (Action.Read x));
+    if recording t then
+      log t ~thread:txn.thread (Action.Request (Action.Read x));
     let wi = Txnset.index txn.wset x in
     if wi >= 0 then begin
       let v = Txnset.value txn.wset wi in
-      log t ~thread:txn.thread (Action.Response (Action.Ret v));
+      if recording t then
+        log t ~thread:txn.thread (Action.Response (Action.Ret v));
       v
     end
     else begin
@@ -125,14 +133,17 @@ module Make (S : Sched_intf.S) = struct
       done;
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Read_validation t0;
       Txnset.set txn.rset x !v;
-      log t ~thread:txn.thread (Action.Response (Action.Ret !v));
+      if recording t then
+        log t ~thread:txn.thread (Action.Response (Action.Ret !v));
       !v
     end
 
   let write t txn x v =
-    log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
+    if recording t then
+      log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
     Txnset.set txn.wset x v;
-    log t ~thread:txn.thread (Action.Response Action.Ret_unit)
+    if recording t then
+      log t ~thread:txn.thread (Action.Response Action.Ret_unit)
 
   let commit t txn =
     log t ~thread:txn.thread (Action.Request Action.Txcommit);

@@ -67,6 +67,12 @@ module Make (S : Sched_intf.S) = struct
     | Some r -> Recorder.log r ~thread kind
     | None -> ()
 
+  (* The per-read and per-write call sites test this before building
+     the [Action] value, as TL2 does: with no recorder attached the
+     boxed action would be most of a transaction's allocation. *)
+  let[@inline] recording t =
+    match t.recorder with Some _ -> true | None -> false
+
   let release_read_locks t txn =
     Txnset.iter
       (fun x _ ->
@@ -115,58 +121,67 @@ module Make (S : Sched_intf.S) = struct
     txn
 
   (* Acquire a read lock on [x]: increment the reader count while no
-     writer holds the word. *)
-  let acquire_read t txn x =
-    let rec go spins =
-      (* starving behind a held write lock *)
-      if spins > t.spin_bound then abort_handler t txn Obs.Write_lock_busy
-      else begin
-        S.yield ();
-        let s = Atomic.get t.rw.(x) in
-        if s land wbit <> 0 then begin
-          S.spin ();
-          go (spins + 1)
-        end
-        else if Atomic.compare_and_set t.rw.(x) s (s + 1) then
-          Txnset.add txn.rlocked x
-        else go (spins + 1)
+     writer holds the word.  The retry loops take [spins] as an argument
+     instead of closing over [t txn x]: a local closure would be
+     allocated on every lock acquisition. *)
+  let rec acquire_read t txn x spins =
+    (* starving behind a held write lock *)
+    if spins > t.spin_bound then abort_handler t txn Obs.Write_lock_busy
+    else begin
+      S.yield ();
+      let s = Atomic.get t.rw.(x) in
+      if s land wbit <> 0 then begin
+        S.spin ();
+        acquire_read t txn x (spins + 1)
       end
-    in
-    go 0
+      else if Atomic.compare_and_set t.rw.(x) s (s + 1) then
+        Txnset.add txn.rlocked x
+      else acquire_read t txn x (spins + 1)
+    end
 
-  (* Acquire the write lock on [x], upgrading a held read lock if any.
-     The upgrade CAS consumes our reader count; [x] stays in [rlocked]
-     and the release paths skip it there. *)
-  let acquire_write t txn x =
-    let expected = if Txnset.mem txn.rlocked x then 1 else 0 in
-    let rec go spins =
-      if spins > t.spin_bound then abort_handler t txn Obs.Write_lock_busy
-      else begin
-        S.yield ();
+  (* Acquire the write lock on [x], upgrading a held read lock if any
+     ([expected] is the reader count that is ours: 1 or 0).  The upgrade
+     CAS consumes our reader count; [x] stays in [rlocked] and the
+     release paths skip it there.  Only a writer is waited for (bounded,
+     like [acquire_read]): readers on the word are live transactions
+     that may themselves be waiting to upgrade, so waiting for them to
+     drain can deadlock until the bound runs out.  Finding them aborts
+     at once; the retry's backoff in [Atomic_block] breaks the
+     symmetry. *)
+  let rec acquire_write t txn x ~expected spins =
+    if spins > t.spin_bound then abort_handler t txn Obs.Write_lock_busy
+    else begin
+      S.yield ();
+      let s = Atomic.get t.rw.(x) in
+      if s = expected then
         if Atomic.compare_and_set t.rw.(x) expected wbit then
           Txnset.add txn.wlocked x
-        else begin
-          S.spin ();
-          go (spins + 1)
-        end
+        else acquire_write t txn x ~expected (spins + 1)
+      else if s land wbit <> 0 then begin
+        S.spin ();
+        acquire_write t txn x ~expected (spins + 1)
       end
-    in
-    go 0
+      else abort_handler t txn Obs.Write_lock_busy
+    end
 
   let read t txn x =
-    log t ~thread:txn.thread (Action.Request (Action.Read x));
+    if recording t then
+      log t ~thread:txn.thread (Action.Request (Action.Read x));
     if not (Txnset.mem txn.wlocked x || Txnset.mem txn.rlocked x) then
-      acquire_read t txn x;
+      acquire_read t txn x 0;
     S.yield ();
     let v = Atomic.get t.reg.(x) in
-    log t ~thread:txn.thread (Action.Response (Action.Ret v));
+    if recording t then
+      log t ~thread:txn.thread (Action.Response (Action.Ret v));
     v
 
   let write t txn x v =
-    log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
+    if recording t then
+      log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
     if not (Txnset.mem txn.wlocked x) then begin
       let t0 = Obs.start () in
-      (match acquire_write t txn x with
+      let expected = if Txnset.mem txn.rlocked x then 1 else 0 in
+      (match acquire_write t txn x ~expected 0 with
       | () -> Obs.stop t.obs ~thread:txn.thread Obs.Span.Write_lock t0
       | exception e ->
           Obs.stop t.obs ~thread:txn.thread Obs.Span.Write_lock t0;
@@ -176,7 +191,8 @@ module Make (S : Sched_intf.S) = struct
     Txnset.Log.push txn.undo x (Atomic.get t.reg.(x));
     S.yield ();
     Atomic.set t.reg.(x) v;
-    log t ~thread:txn.thread (Action.Response Action.Ret_unit)
+    if recording t then
+      log t ~thread:txn.thread (Action.Response Action.Ret_unit)
 
   let commit t txn =
     log t ~thread:txn.thread (Action.Request Action.Txcommit);

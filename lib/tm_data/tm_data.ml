@@ -1,16 +1,45 @@
 module Make (T : Tm_runtime.Tm_intf.S) = struct
   module AB = Tm_runtime.Atomic_block.Make (T)
 
+  (* Two bump allocators share registers [1..size-1]: [alloc], for use
+     outside transactions, grows up from 1 ([next]); [alloc_txn] grows
+     down from the top, counting the cells it has handed out in
+     register 0 (never a node: pointer 0 is null).  That count is read
+     and written transactionally, so an aborted attempt's allocation is
+     rolled back with its other writes and the retry reuses the same
+     cells.  [high] is the largest count any attempt has reached: each
+     side publishes its own bound before reading the other's, so two
+     blocks never overlap. *)
   module Heap = struct
-    type t = { tm : T.t; next : int Atomic.t; size : int }
+    type t = { tm : T.t; next : int Atomic.t; high : int Atomic.t; size : int }
 
-    let create tm ~size = { tm; next = Atomic.make 1; size }
+    let count_reg = 0
+
+    let create tm ~size =
+      { tm; next = Atomic.make 1; high = Atomic.make 0; size }
+
     let tm h = h.tm
+    let exhausted () = failwith "Tm_data.Heap.alloc: out of registers"
 
     let alloc h n =
       let base = Atomic.fetch_and_add h.next n in
-      if base + n > h.size then failwith "Tm_data.Heap.alloc: out of registers";
+      if base + n > h.size - Atomic.get h.high then exhausted ();
       base
+
+    let rec raise_high h used =
+      let seen = Atomic.get h.high in
+      if used > seen && not (Atomic.compare_and_set h.high seen used) then
+        raise_high h used
+
+    let alloc_txn h txn n =
+      let used = T.read h.tm txn count_reg + n in
+      raise_high h used;
+      let base = h.size - used in
+      if base < Atomic.get h.next then exhausted ();
+      T.write h.tm txn count_reg used;
+      base
+
+    let in_use h = Atomic.get h.next - 1 + Atomic.get h.high
   end
 
   module Counter = struct
@@ -33,7 +62,7 @@ module Make (T : Tm_runtime.Tm_intf.S) = struct
 
     let push s txn v =
       let tm = Heap.tm s.heap in
-      let node = Heap.alloc s.heap 2 in
+      let node = Heap.alloc_txn s.heap txn 2 in
       let old_top = T.read tm txn s.top in
       T.write tm txn node v;
       T.write tm txn (node + 1) old_top;
@@ -66,7 +95,7 @@ module Make (T : Tm_runtime.Tm_intf.S) = struct
 
     let enqueue q txn v =
       let tm = Heap.tm q.heap in
-      let node = Heap.alloc q.heap 2 in
+      let node = Heap.alloc_txn q.heap txn 2 in
       T.write tm txn node v;
       T.write tm txn (node + 1) 0;
       let tail = T.read tm txn q.tail in
@@ -123,7 +152,7 @@ module Make (T : Tm_runtime.Tm_intf.S) = struct
       let _, node = find_from tm txn ~pred_cell:bucket key in
       if node <> 0 then T.write tm txn (node + 1) v
       else begin
-        let node = Heap.alloc m.heap 3 in
+        let node = Heap.alloc_txn m.heap txn 3 in
         T.write tm txn node key;
         T.write tm txn (node + 1) v;
         T.write tm txn (node + 2) (T.read tm txn bucket);

@@ -10,7 +10,8 @@
     Structures are laid out in the TM's register file through a bump
     allocator ({!Make.Heap}); pointers are register indices and [0] is
     null — register 0 is reserved by the allocator so that null never
-    aliases a real cell.
+    aliases a real cell.  Nodes allocated inside a transaction are
+    reserved transactionally, so aborted attempts leak no cells.
 
     {!Make.Private_region} packages the paper's privatization idiom as
     an API: a flag-guarded block of registers that a thread can take
@@ -23,15 +24,24 @@ module Make (T : Tm_runtime.Tm_intf.S) : sig
     type t
 
     val create : T.t -> size:int -> t
-    (** Manage registers [1..size-1] of the TM instance (register 0 is
-        reserved as null). *)
+    (** Manage registers [1..size-1] of the TM instance.  Register 0 is
+        never handed out, so that null never aliases a real cell; it
+        holds the count of cells allocated inside transactions. *)
 
     val tm : t -> T.t
 
     val alloc : t -> int -> int
-    (** [alloc h n] reserves [n] fresh registers and returns the index
-        of the first.  Thread-safe (atomic bump).  Raises [Failure] on
-        exhaustion. *)
+    (** [alloc h n] reserves [n] fresh registers outside any
+        transaction and returns the index of the first.  Thread-safe
+        (atomic bump).  Raises [Failure] on exhaustion.  The structures
+        below allocate their nodes inside the caller's transaction
+        instead, as a transactional write that an abort undoes: a
+        retried atomic block reuses the cells of its aborted
+        attempts. *)
+
+    val in_use : t -> int
+    (** Registers reserved so far (an upper bound while transactions
+        that allocate are running). *)
   end
 
   (** A shared counter. *)

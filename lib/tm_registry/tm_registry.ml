@@ -161,7 +161,9 @@ module Make (Sch : Tm_runtime.Sched_intf.S) = struct
     end in
     {
       name = "tlrw";
-      description = "TLRW: visible read/write byte locks, in-place + undo";
+      description =
+        "TLRW: visible read/write locks, in-place + undo; aborts on \
+         read-lock upgrade conflicts";
       privatization_safe = true;
       needs_fences = false;
       fence_impls = [];

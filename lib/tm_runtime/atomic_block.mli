@@ -13,10 +13,11 @@ module Make_sched (S : Sched_intf.S) (T : Tm_intf.S) : sig
   val run : ?max_retries:int -> T.t -> thread:int -> (T.txn -> 'a) -> 'a * int
   (** Retry until commit; returns the result and the number of aborted
       attempts.  Raises [Failure] after [max_retries] (default
-      unlimited) consecutive aborts.  Between attempts the thread goes
-      through [S.spin]: a scheduling point under the deterministic
-      scheduler (retrying before any other thread has moved would abort
-      identically), a [cpu_relax] in production. *)
+      unlimited) consecutive aborts.  Between attempts the thread backs
+      off through [S.backoff]: randomized exponential backoff of at most
+      1024 [cpu_relax] steps in production, seeded from [thread] so it
+      is deterministic; one scheduling point under the deterministic
+      scheduler. *)
 end
 
 module Make (T : Tm_intf.S) : sig

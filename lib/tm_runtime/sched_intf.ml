@@ -2,10 +2,12 @@
 
     Each TM is a functor over this interface; every semantically
     relevant shared-memory access (atomic load, store, CAS,
-    fetch-and-add) is preceded by a call to {!S.yield}, and every
-    busy-wait retry goes through {!S.spin}.  The production
-    instantiation {!Os} compiles both to (near) no-ops, so the TMs run
-    at full speed on real domains under the OS scheduler; the
+    fetch-and-add) is preceded by a call to {!S.yield}, every
+    busy-wait retry goes through {!S.spin}, and every wait before
+    retrying an aborted transaction goes through {!S.backoff}.  The
+    production instantiation {!Os} compiles the first two to (near)
+    no-ops and the third to a [cpu_relax] loop, so the TMs run at full
+    speed on real domains under the OS scheduler; the
     deterministic test instantiation ([Tm_sched.Sched.Hooks]) turns
     each call into an effect that suspends the fiber and hands control
     to a cooperative scheduler, which picks the next thread to run —
@@ -32,6 +34,14 @@ module type S = sig
   val spin : unit -> unit
   (** Called inside a busy-wait loop after a failed progress check: a
       scheduling point at which the thread cannot progress by itself. *)
+
+  val backoff : int -> unit
+  (** [backoff n] is the wait of a retry loop after an aborted attempt,
+      [n] [cpu_relax] steps long: a scheduling point at which the thread
+      should let the others run before it retries.  Unlike [spin], the
+      conflict being waited out was observed at earlier scheduling
+      points and may already be gone, so the deterministic scheduler
+      parks the thread only while some other thread can still run. *)
 end
 
 (** Production instantiation: run under the OS scheduler at full
@@ -39,4 +49,9 @@ end
 module Os : S = struct
   let yield () = ()
   let spin () = Domain.cpu_relax ()
+
+  let backoff n =
+    for _ = 1 to n do
+      Domain.cpu_relax ()
+    done
 end

@@ -1,11 +1,18 @@
 open Effect
 open Effect.Deep
 
-type _ Effect.t += Yield : unit Effect.t | Spin : unit Effect.t
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Spin : unit Effect.t
+  | Backoff : unit Effect.t
 
 module Hooks : Tm_runtime.Sched_intf.S = struct
   let yield () = perform Yield
   let spin () = perform Spin
+
+  (* The wait's length is irrelevant to a cooperative scheduler: one
+     scheduling point stands for all of it. *)
+  let backoff _ = perform Backoff
 end
 
 let unscheduled f =
@@ -18,6 +25,7 @@ let unscheduled f =
           match eff with
           | Yield -> Some (fun (k : (a, _) continuation) -> continue k ())
           | Spin -> Some (fun (k : (a, _) continuation) -> continue k ())
+          | Backoff -> Some (fun (k : (a, _) continuation) -> continue k ())
           | _ -> None);
     }
 
@@ -46,12 +54,17 @@ let run ?(max_steps = 100_000) ~(pick : pick) (bodies : (unit -> unit) array)
     =
   let n = Array.length bodies in
   let state = Array.map (fun body -> Start body) bodies in
+  let unfinished = ref n in
+  let finish i =
+    state.(i) <- Finished;
+    decr unfinished
+  in
   let handler i =
     {
-      retc = (fun () -> state.(i) <- Finished);
+      retc = (fun () -> finish i);
       exnc =
         (fun e ->
-          state.(i) <- Finished;
+          finish i;
           raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -60,6 +73,15 @@ let run ?(max_steps = 100_000) ~(pick : pick) (bodies : (unit -> unit) array)
               Some (fun (k : (a, unit) continuation) -> state.(i) <- Paused k)
           | Spin ->
               Some (fun (k : (a, unit) continuation) -> state.(i) <- Parked k)
+          | Backoff ->
+              (* Park until another thread steps — retrying before that
+                 would meet the same conflict — unless none is left to
+                 step (only [i] is unfinished): the conflicting
+                 transaction may have finished since the abort, so that
+                 is no livelock. *)
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  state.(i) <- (if !unfinished > 1 then Parked k else Paused k))
           | _ -> None);
     }
   in

@@ -16,12 +16,21 @@
     parking is a sound partial-order reduction — and when every
     unfinished fiber is parked, the engine reports a livelock instead
     of hanging (e.g. a transactional fence waiting on a transaction
-    that can never complete). *)
+    that can never complete).
 
-type _ Effect.t += Yield : unit Effect.t | Spin : unit Effect.t
+    {!Tm_runtime.Sched_intf.S.backoff}, the wait of a retry loop after
+    an abort, parks the same way while another fiber is unfinished; once
+    every other fiber has finished it is a plain scheduling point, since
+    the conflict that caused the abort may have ended after it was
+    observed. *)
+
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Spin : unit Effect.t
+  | Backoff : unit Effect.t
 
 module Hooks : Tm_runtime.Sched_intf.S
-(** The deterministic instantiation of the TM scheduler hooks: both
+(** The deterministic instantiation of the TM scheduler hooks: all three
     operations perform effects and must run under {!run} (or
     {!unscheduled}). *)
 

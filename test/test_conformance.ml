@@ -207,6 +207,66 @@ let drf_figure_case (e : Tm_registry.entry) =
   in
   Alcotest.test_case (e.Tm_registry.name ^ ": DRF figure clean") `Quick run
 
+(* ----------------- bounded time under contention ------------------ *)
+
+(* Every correct TM finishes a single-counter workload at 1, 2, 4 and 8
+   domains (oversubscribed on small hosts, which is what exposes
+   livelock) under every fence policy it accepts, with the exact count
+   and within a wall-clock bound.  Past the bound, the next attempt of
+   every worker abandons its transaction and stops, so a livelocked TM
+   fails the case instead of hanging the suite. *)
+let contended_time_bound_s = 10.
+
+exception Out_of_time
+
+let contended_counter_case (e : Tm_registry.entry) policy threads =
+  let module M = (val e.Tm_registry.tm) in
+  let module AB = Tm_runtime.Atomic_block.Make (M.T) in
+  let per_thread = 300 in
+  let run () =
+    let tm = M.make ~nregs:1 ~nthreads:threads () in
+    let t0 = Unix.gettimeofday () in
+    let increment txn =
+      if Unix.gettimeofday () -. t0 > contended_time_bound_s then begin
+        M.T.abort tm txn;
+        raise Out_of_time
+      end;
+      M.T.write tm txn 0 (M.T.read tm txn 0 + 1)
+    in
+    let worker thread () =
+      try
+        for i = 1 to per_thread do
+          let (), _ = AB.run tm ~thread increment in
+          if
+            Tm_runtime.Fence_policy.fence_after_txn policy ~read_only:false
+              ~requested:(i mod 64 = 0)
+          then M.T.fence tm ~thread
+        done
+      with Out_of_time -> ()
+    in
+    let domains = Array.init threads (fun t -> Domain.spawn (worker t)) in
+    Array.iter Domain.join domains;
+    let seconds = Unix.gettimeofday () -. t0 in
+    if seconds > contended_time_bound_s then
+      Alcotest.failf "%s took %.1f s (bound %.0f s)" e.Tm_registry.name
+        seconds contended_time_bound_s;
+    check int "exact count" (threads * per_thread) (M.T.read_nt tm ~thread:0 0)
+  in
+  Alcotest.test_case
+    (Printf.sprintf "%s %s %d domains" e.Tm_registry.name
+       (Tm_runtime.Fence_policy.name policy)
+       threads)
+    `Quick run
+
+let contended_cases (e : Tm_registry.entry) =
+  List.concat_map
+    (fun policy ->
+      match Tm_registry.check_policy e policy with
+      | Error _ -> []
+      | Ok () ->
+          List.map (contended_counter_case e policy) [ 1; 2; 4; 8 ])
+    Tm_runtime.Fence_policy.all
+
 let () =
   let correct_sched =
     List.filter
@@ -222,4 +282,9 @@ let () =
           Tm_registry.all );
       ("scheduled", List.map recorded_history_case Harness.Registry.all);
       ("drf-figures", List.map drf_figure_case correct_sched);
+      ( "contended",
+        List.concat_map contended_cases
+          (List.filter
+             (fun (e : Tm_registry.entry) -> not e.Tm_registry.faulty)
+             Tm_registry.all) );
     ]

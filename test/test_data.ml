@@ -170,6 +170,50 @@ module Data_suite (T : Tm_runtime.Tm_intf.S) = struct
     check int (T.name ^ ": all pushes drained") (nthreads * per_thread)
       !drained
 
+  (* Every attempt allocates a node before it aborts, so a heap that
+     leaked aborted attempts' cells would run out many times over: the
+     retries must reuse them.  Then the same under real contention,
+     where only attempts still running may hold cells beyond the
+     committed ones. *)
+  let test_aborts_reuse_cells () =
+    let pushes = 20 and aborts_per_push = 10 in
+    let heap = fresh_heap ~size:64 () in
+    let tm = D.Heap.tm heap in
+    let s = D.Stack.make heap in
+    for i = 1 to pushes do
+      let aborted = ref 0 in
+      atomically heap 0 (fun txn ->
+          D.Stack.push s txn i;
+          if !aborted < aborts_per_push then begin
+            incr aborted;
+            T.abort tm txn;
+            raise Tm_runtime.Tm_intf.Abort
+          end)
+    done;
+    check int (T.name ^ ": only committed nodes allocated") (1 + (2 * pushes))
+      (D.Heap.in_use heap);
+    check bool (T.name ^ ": top is the last push") true
+      (atomically heap 0 (fun txn -> D.Stack.peek s txn) = Some pushes);
+    let nthreads = 3 and per_thread = 150 in
+    let committed = 2 + (2 * nthreads * per_thread) in
+    let heap = fresh_heap ~size:(committed + (2 * nthreads) + 1) () in
+    let s = D.Stack.make heap in
+    let c = D.Counter.make heap in
+    let domains =
+      Array.init nthreads (fun thread ->
+          Domain.spawn (fun () ->
+              for i = 1 to per_thread do
+                atomically heap thread (fun txn ->
+                    D.Stack.push s txn i;
+                    D.Counter.add c txn 1)
+              done))
+    in
+    Array.iter Domain.join domains;
+    check int (T.name ^ ": contended pushes counted") (nthreads * per_thread)
+      (atomically heap 0 (fun txn -> D.Counter.get c txn));
+    check bool (T.name ^ ": heap use bounded under contention") true
+      (D.Heap.in_use heap <= committed + (2 * nthreads))
+
   let tests =
     [
       Alcotest.test_case (T.name ^ " counter") `Quick test_counter;
@@ -183,6 +227,8 @@ module Data_suite (T : Tm_runtime.Tm_intf.S) = struct
         test_guarded_respects_flag;
       Alcotest.test_case (T.name ^ " concurrent stack") `Slow
         test_concurrent_stack;
+      Alcotest.test_case (T.name ^ " aborts reuse cells") `Quick
+        test_aborts_reuse_cells;
     ]
 end
 

@@ -93,6 +93,34 @@ let test_engine_spin_wakeup () =
   check bool "no livelock" false info.Sched.livelocked;
   check bool "spinner completed" true info.Sched.completed.(0)
 
+(* [backoff] parks like [spin] while another fiber can still run, but
+   once every other fiber has finished it is a plain scheduling point:
+   the conflict it waits out may have ended after it was observed. *)
+let test_engine_backoff () =
+  let order = ref [] in
+  let backer () =
+    Sched.Hooks.backoff 8;
+    order := 0 :: !order
+  in
+  let other () =
+    Sched.Hooks.yield ();
+    order := 1 :: !order
+  in
+  let info =
+    Sched.run ~pick:(fun ~step:_ ~current ~runnable ->
+        Sched.default_pick ~current ~runnable)
+      [| backer; other |]
+  in
+  check bool "parked while the other fiber could run" true
+    (List.rev !order = [ 1; 0 ]);
+  check bool "no livelock" false info.Sched.livelocked;
+  let info =
+    Sched.run ~pick:(Sched.pick_of_prefix [| 1 |])
+      [| (fun () -> Sched.Hooks.backoff 8); (fun () -> ()) |]
+  in
+  check bool "no livelock once alone" false info.Sched.livelocked;
+  check bool "backer completed" true info.Sched.completed.(0)
+
 let test_engine_step_limit () =
   let body () =
     while true do
@@ -306,6 +334,62 @@ let test_baselines_fence_free_safe () =
       ("lock", Harness.Registry.find_exn "lock");
     ]
 
+(* ------------------- contention: retried upgrades ------------------ *)
+
+(* Two fibers increment one register through the retry loop of
+   [Atomic_block.Make_sched] on the Sched-instrumented TLRW: each
+   transaction read-locks the register and then upgrades, so the two
+   upgraders conflict on every interleaving that overlaps them.  Every
+   explored schedule must finish both fibers with the exact count. *)
+let contended_counter ~name ~per_fiber ~pick =
+  let module M = (val (Harness.Registry.find_exn name).Tm_registry.tm) in
+  let module AB = Tm_runtime.Atomic_block.Make_sched (Sched.Hooks) (M.T) in
+  let tm = M.make ~nregs:1 ~nthreads:2 () in
+  let fiber thread () =
+    for _ = 1 to per_fiber do
+      let (), _ =
+        AB.run tm ~thread (fun txn -> M.T.write tm txn 0 (M.T.read tm txn 0 + 1))
+      in
+      ()
+    done
+  in
+  let info = Sched.run ~max_steps:20_000 ~pick [| fiber 0; fiber 1 |] in
+  (info, (info, Sched.unscheduled (fun () -> M.T.read_nt tm ~thread:0 0)))
+
+let counter_is_bug ~per_fiber (info, count) =
+  info.Sched.livelocked || info.Sched.step_limit_hit
+  || Array.exists not info.Sched.completed
+  || count <> 2 * per_fiber
+
+let describe_counter (info, count) =
+  Printf.sprintf "count %d, livelocked %b, step limit %b, %d steps" count
+    info.Sched.livelocked info.Sched.step_limit_hit info.Sched.steps
+
+let test_upgraders_terminate name () =
+  let per_fiber = 2 in
+  List.iter
+    (fun spec ->
+      match
+        Sched.explore ~nthreads:2 spec
+          ~run:(fun ~pick -> contended_counter ~name ~per_fiber ~pick)
+          ~is_bug:(counter_is_bug ~per_fiber)
+      with
+      | Sched.Passed { complete; _ } -> (
+          match spec with
+          | Sched.Exhaustive _ ->
+              check bool (name ^ ": bounded space explored") true complete
+          | _ -> ())
+      | Sched.Found f ->
+          Alcotest.failf "%s contended counter: %s (schedule of %d steps)"
+            name
+            (describe_counter f.Sched.f_value)
+            (List.length f.Sched.f_schedule))
+    [
+      Sched.Exhaustive { preemptions = 2; max_execs = 20_000 };
+      Sched.Random { seed = 11; execs = 300 };
+      Sched.Pct { seed = 11; execs = 300; depth = 3 };
+    ]
+
 (* Figure 1(b), the doomed transaction: without the fence the worker's
    loop can read privatized data and spin forever — observed as fuel
    divergence plus a race on the recorded history. *)
@@ -442,6 +526,8 @@ let () =
             test_engine_prefix_order;
           Alcotest.test_case "livelock detection" `Quick test_engine_livelock;
           Alcotest.test_case "spin wakeup" `Quick test_engine_spin_wakeup;
+          Alcotest.test_case "backoff parks only while others run" `Quick
+            test_engine_backoff;
           Alcotest.test_case "step limit" `Quick test_engine_step_limit;
         ] );
       ( "privatization",
@@ -465,6 +551,20 @@ let () =
           Alcotest.test_case "tl2 no-fence: fig1b race" `Quick
             test_tl2_nofence_fig1b_dooms;
         ] );
+      ( "contention",
+        [
+          Alcotest.test_case "tlrw upgraders terminate" `Quick
+            (test_upgraders_terminate "tlrw");
+        ]
+        @ List.filter_map
+            (fun (e : Tm_registry.entry) ->
+              if e.faulty || e.name = "tlrw" then None
+              else
+                Some
+                  (Alcotest.test_case
+                     (e.name ^ " contended counter terminates")
+                     `Quick (test_upgraders_terminate e.name)))
+            Harness.Registry.all );
       ( "opacity",
         [
           Alcotest.test_case "no-commit-validation violates opacity" `Quick
