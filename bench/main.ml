@@ -663,9 +663,10 @@ let obs_bench () =
     Printf.printf
       "  WARNING: obs timer overhead on the harness micro-bench exceeds the \
        5%% target\n%!";
-  (* backstop against gross regressions (a generous bound: medians of
-     three on a time-sliced host still swing by tens of percent) *)
-  assert (harness_overhead_pct < 50.0);
+  (* backstop against gross regressions, the bound EXPERIMENTS.md
+     documents (sampled spans measure under 1%; the slack absorbs the
+     swing of medians on a time-sliced host) *)
+  assert (harness_overhead_pct < 25.0);
   if !json_mode then
     write_json "BENCH_obs.json"
       (J.Obj
@@ -844,9 +845,9 @@ let tl2_bench () =
      median over rounds compares like with like *)
   Gc.compact ();
   (* span timers off for the measurement: both implementations pay the
-     same two clock calls per read when they are on, a shared constant
-     that dilutes the algorithmic difference this benchmark isolates
-     (obs_bench measures the timer cost itself, separately) *)
+     same sampled clock calls at commit when they are on, a shared
+     constant that dilutes the algorithmic difference this benchmark
+     isolates (obs_bench measures the timer cost itself, separately) *)
   let timers_were = Tm_obs.Obs.timers_enabled () in
   Tm_obs.Obs.set_timers_enabled false;
   let rounds = 5 in

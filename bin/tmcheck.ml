@@ -525,7 +525,8 @@ let stats_cmd =
   let doc =
     "Run a kernel workload on a TM and report its telemetry snapshot: \
      commits, aborts broken down by cause, and span-duration histograms \
-     (fence waits, validation, lock acquisition)."
+     (fence waits, commit validation, lock acquisition; one event in 64 \
+     per thread and kind is timed)."
   in
   let kernel_arg =
     Arg.(

@@ -101,7 +101,7 @@ module Make (S : Sched_intf.S) = struct
               rset = Txnset.create ();
               wset = Txnset.create ();
             });
-      obs = Obs.create ();
+      obs = Obs.create ~nthreads ();
     }
 
   let create ?recorder ~nregs ~nthreads () =
@@ -183,14 +183,12 @@ module Make (S : Sched_intf.S) = struct
       v
     end
     else begin
-      let t0 = Obs.start () in
       S.yield ();
       let w1 = Padded.get t.vlock x in
       S.yield ();
       let value = Padded.get t.reg x in
       S.yield ();
       let w2 = Padded.get t.vlock x in
-      Obs.stop t.obs ~thread:txn.thread Obs.Span.Read_validation t0;
       let torn = Vlock.locked w1 || Vlock.locked w2 || w1 <> w2 in
       if
         t.variant <> No_read_validation
@@ -266,7 +264,9 @@ module Make (S : Sched_intf.S) = struct
          the transaction serializes at its snapshot, so the snapshot
          version doubles as its effective write timestamp in the
          {!timestamp_log} (INV.5's visibility ordering needs one). *)
-      let t0 = Obs.start () in
+      let t0 =
+        Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Commit_validation
+      in
       let valid = t.variant = No_commit_validation
                   || validate_rset t txn ~writer:false in
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Commit_validation t0;
@@ -295,7 +295,7 @@ module Make (S : Sched_intf.S) = struct
           Padded.set t.vlock x (Vlock.unlock w)
         done
       in
-      let t0 = Obs.start () in
+      let t0 = Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Write_lock in
       let rec acquire i =
         i >= nw
         ||
@@ -323,7 +323,9 @@ module Make (S : Sched_intf.S) = struct
       let wver = Atomic.fetch_and_add t.clock 1 + 1 in
       txn.wver <- wver;
       (* Phase 3: read-set validation (lines 20-26). *)
-      let t0 = Obs.start () in
+      let t0 =
+        Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Commit_validation
+      in
       let valid = t.variant = No_commit_validation
                   || validate_rset t txn ~writer:true in
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Commit_validation t0;
@@ -431,7 +433,7 @@ module Make (S : Sched_intf.S) = struct
 
   let fence t ~thread =
     log t ~thread (Action.Request Action.Fbegin);
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Fence_wait in
     (match t.fence_impl with
     | Flag_scan -> fence_flag_scan t
     | Epoch -> fence_epoch t);

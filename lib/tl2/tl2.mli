@@ -125,9 +125,10 @@ val stats_aborts : t -> int
     contention only in their relative timing). *)
 
 val obs : t -> Tm_obs.Obs.t
-(** The TM's telemetry: per-cause abort counters and span-duration
-    histograms (fence waits, read/commit validation, write-lock
-    acquisition).  Snapshot with {!Tm_obs.Obs.snapshot} at a quiescent
+(** The TM's telemetry: exact per-cause abort counters and sampled
+    span-duration histograms (fence waits, commit validation, write-lock
+    acquisition; one event in {!Tm_obs.Obs.sample_period} per thread
+    and kind).  Snapshot with {!Tm_obs.Obs.snapshot} at a quiescent
     point. *)
 
 (** The pre-overhaul, paper-shaped TL2 (two-word orecs, boxed

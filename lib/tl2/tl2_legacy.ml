@@ -77,7 +77,7 @@ module Make (S : Sched_intf.S) = struct
       aborts = Atomic.make 0;
       timestamp_log = Atomic.make [];
       txn_seq = Array.make nthreads 0;
-      obs = Obs.create ();
+      obs = Obs.create ~nthreads ();
     }
 
   let create ?recorder ~nregs ~nthreads () =
@@ -145,7 +145,6 @@ module Make (S : Sched_intf.S) = struct
         log t ~thread:txn.thread (Action.Response (Action.Ret v));
         v
     | None ->
-        let t0 = Obs.start () in
         S.yield ();
         let ts1 = Atomic.get t.ver.(x) in
         S.yield ();
@@ -154,7 +153,6 @@ module Make (S : Sched_intf.S) = struct
         let locked = Atomic.get t.lock.(x) <> -1 in
         S.yield ();
         let ts2 = Atomic.get t.ver.(x) in
-        Obs.stop t.obs ~thread:txn.thread Obs.Span.Read_validation t0;
         if
           t.variant <> No_read_validation
           && (locked || ts1 <> ts2 || txn.rver < ts2)
@@ -190,7 +188,7 @@ module Make (S : Sched_intf.S) = struct
       Hashtbl.fold (fun x _ acc -> x :: acc) txn.wset [] |> List.sort compare
     in
     (* Phase 1: acquire write locks (lines 11-18). *)
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Write_lock in
     let acquired_all =
       List.for_all
         (fun x ->
@@ -212,7 +210,9 @@ module Make (S : Sched_intf.S) = struct
     let wver = Atomic.fetch_and_add t.clock 1 + 1 in
     txn.wver <- wver;
     (* Phase 3: read-set validation (lines 20-26). *)
-    let t0 = Obs.start () in
+    let t0 =
+      Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Commit_validation
+    in
     let valid =
       t.variant = No_commit_validation
       || Hashtbl.fold
@@ -343,7 +343,7 @@ module Make (S : Sched_intf.S) = struct
 
   let fence t ~thread =
     log t ~thread (Action.Request Action.Fbegin);
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Fence_wait in
     (match t.fence_impl with
     | Flag_scan -> fence_flag_scan t
     | Epoch -> fence_epoch t);

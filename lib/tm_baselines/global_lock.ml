@@ -35,7 +35,7 @@ module Make (S : Sched_intf.S) = struct
       descs =
         Array.init nthreads (fun thread ->
             { thread; undo = Txnset.Log.create () });
-      obs = Obs.create ();
+      obs = Obs.create ~nthreads ();
     }
 
   let stats_commits t = Atomic.get t.commits
@@ -47,8 +47,14 @@ module Make (S : Sched_intf.S) = struct
     | Some r -> Recorder.log r ~thread kind
     | None -> ()
 
+  (* The per-read and per-write call sites test this before building
+     the [Action] value, as TL2 does: with no recorder attached the
+     boxed action would be most of a transaction's allocation. *)
+  let[@inline] recording t =
+    match t.recorder with Some _ -> true | None -> false
+
   let acquire t thread =
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Write_lock in
     let rec go () =
       S.yield ();
       if not (Atomic.compare_and_set t.owner (-1) thread) then begin
@@ -77,19 +83,23 @@ module Make (S : Sched_intf.S) = struct
     txn
 
   let read t txn x =
-    log t ~thread:txn.thread (Action.Request (Action.Read x));
+    if recording t then
+      log t ~thread:txn.thread (Action.Request (Action.Read x));
     S.yield ();
     let v = Atomic.get t.reg.(x) in
-    log t ~thread:txn.thread (Action.Response (Action.Ret v));
+    if recording t then
+      log t ~thread:txn.thread (Action.Response (Action.Ret v));
     v
 
   let write t txn x v =
-    log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
+    if recording t then
+      log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
     S.yield ();
     Txnset.Log.push txn.undo x (Atomic.get t.reg.(x));
     S.yield ();
     Atomic.set t.reg.(x) v;
-    log t ~thread:txn.thread (Action.Response Action.Ret_unit)
+    if recording t then
+      log t ~thread:txn.thread (Action.Response Action.Ret_unit)
 
   let commit t txn =
     log t ~thread:txn.thread (Action.Request Action.Txcommit);
@@ -138,7 +148,7 @@ module Make (S : Sched_intf.S) = struct
 
   let fence t ~thread =
     log t ~thread (Action.Request Action.Fbegin);
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Fence_wait in
     let n = Array.length t.active in
     let r = Array.make n false in
     for u = 0 to n - 1 do

@@ -42,7 +42,7 @@ module Make (S : Sched_intf.S) = struct
               rset = Txnset.create ();
               wset = Txnset.create ();
             });
-      obs = Obs.create ();
+      obs = Obs.create ~nthreads ();
     }
 
   let stats_commits t = Atomic.get t.commits
@@ -121,7 +121,6 @@ module Make (S : Sched_intf.S) = struct
       v
     end
     else begin
-      let t0 = Obs.start () in
       S.yield ();
       let v = ref (Atomic.get t.reg.(x)) in
       S.yield ();
@@ -131,7 +130,6 @@ module Make (S : Sched_intf.S) = struct
         v := Atomic.get t.reg.(x);
         S.yield ()
       done;
-      Obs.stop t.obs ~thread:txn.thread Obs.Span.Read_validation t0;
       Txnset.set txn.rset x !v;
       if recording t then
         log t ~thread:txn.thread (Action.Response (Action.Ret !v));
@@ -158,7 +156,7 @@ module Make (S : Sched_intf.S) = struct
     else begin
       (* acquire the sequence lock at a validated snapshot; validation
          failure here is a commit-time (value) validation abort *)
-      let t0 = Obs.start () in
+      let t0 = Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Write_lock in
       S.yield ();
       while
         not (Atomic.compare_and_set t.glb txn.snapshot (txn.snapshot + 1))
@@ -208,7 +206,7 @@ module Make (S : Sched_intf.S) = struct
 
   let fence t ~thread =
     log t ~thread (Action.Request Action.Fbegin);
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Fence_wait in
     let n = Array.length t.active in
     let r = Array.make n false in
     for u = 0 to n - 1 do

@@ -31,5 +31,5 @@ val stats_aborts : t -> int
 
 val obs : t -> Tm_obs.Obs.t
 (** Telemetry: abort causes (value-validation failures at read time vs
-    commit time, explicit aborts) and span histograms (read validation,
-    sequence-lock acquisition, fence waits). *)
+    commit time, explicit aborts) and sampled span histograms
+    (sequence-lock acquisition, fence waits). *)

@@ -52,7 +52,7 @@ module Make (S : Sched_intf.S) = struct
               wlocked = Txnset.create ();
               undo = Txnset.Log.create ();
             });
-      obs = Obs.create ();
+      obs = Obs.create ~nthreads ();
     }
 
   let create ?recorder ~nregs ~nthreads () =
@@ -179,7 +179,7 @@ module Make (S : Sched_intf.S) = struct
     if recording t then
       log t ~thread:txn.thread (Action.Request (Action.Write (x, v)));
     if not (Txnset.mem txn.wlocked x) then begin
-      let t0 = Obs.start () in
+      let t0 = Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Write_lock in
       let expected = if Txnset.mem txn.rlocked x then 1 else 0 in
       (match acquire_write t txn x ~expected 0 with
       | () -> Obs.stop t.obs ~thread:txn.thread Obs.Span.Write_lock t0
@@ -241,7 +241,7 @@ module Make (S : Sched_intf.S) = struct
     (* TLRW needs no fences for privatization (visible readers), but the
        interface requires one; it waits on the active flags like TL2's. *)
     log t ~thread (Action.Request Action.Fbegin);
-    let t0 = Obs.start () in
+    let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Fence_wait in
     let n = Array.length t.active in
     let r = Array.make n false in
     for u = 0 to n - 1 do

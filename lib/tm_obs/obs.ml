@@ -10,13 +10,15 @@
    quiescent moments (after domains joined, between scheduler runs),
    like [Recorder.history].
 
-   Counters are always on (an abort is counted in the same breath as
-   the TM's own [stats_aborts] atomic).  Span *timers* — the
-   gettimeofday pairs around fence waits, validation and lock
-   acquisition — can be disabled at runtime with [OBS=0] in the
-   environment (the [PARALLEL]-style escape hatch) or
-   {!set_timers_enabled}; a disabled timer is one atomic load and no
-   clock read. *)
+   Counters are always on and exact (an abort is counted in the same
+   breath as the TM's own [stats_aborts] atomic).  Span *timers* — the
+   monotonic-clock pairs around fence waits, commit validation and
+   write-lock acquisition — are sampled: each thread times one event
+   in {!sample_period} per span kind ({!start_sampled}), the first
+   always.  No span sits on the per-read path.  Timers can be disabled
+   at runtime with [OBS=0] in the environment (the [PARALLEL]-style
+   escape hatch) or {!set_timers_enabled}; a disabled timer is one
+   atomic load and no clock read. *)
 
 type abort_cause =
   | Read_validation
@@ -51,20 +53,18 @@ let abort_cause_name = function
   | Fault_injected -> "fault-injected"
 
 module Span = struct
-  type t = Fence_wait | Read_validation | Commit_validation | Write_lock
+  type t = Fence_wait | Commit_validation | Write_lock
 
-  let all = [ Fence_wait; Read_validation; Commit_validation; Write_lock ]
-  let count = 4
+  let all = [ Fence_wait; Commit_validation; Write_lock ]
+  let count = 3
 
   let index = function
     | Fence_wait -> 0
-    | Read_validation -> 1
-    | Commit_validation -> 2
-    | Write_lock -> 3
+    | Commit_validation -> 1
+    | Write_lock -> 2
 
   let name = function
     | Fence_wait -> "fence-wait"
-    | Read_validation -> "read-validation"
     | Commit_validation -> "commit-validation"
     | Write_lock -> "write-lock-acquire"
 end
@@ -101,6 +101,10 @@ type shard = {
   span_count : int array;  (** indexed by {!Span.index} *)
   span_total_ns : int array;
   span_buckets : int array array;  (** span x bucket *)
+  span_countdown : int array;
+      (** events of each span kind still to skip before the next timed
+          one; per kind, so two spans per transaction never starve each
+          other of samples *)
 }
 
 type t = { shards : shard array Atomic.t; grow_mutex : Mutex.t }
@@ -112,9 +116,20 @@ let fresh_shard () =
     span_count = Array.make Span.count 0;
     span_total_ns = Array.make Span.count 0;
     span_buckets = Array.init Span.count (fun _ -> Array.make buckets 0);
+    span_countdown = Array.make Span.count 0;
   }
 
-let create () = { shards = Atomic.make [||]; grow_mutex = Mutex.create () }
+(* A TM passes its thread count so that every shard exists before the
+   first span: the lazy growth path takes [grow_mutex], and a fresh TM
+   per figure trial would otherwise send all its domains through that
+   mutex at the start of each trial. *)
+let create ?(nthreads = 0) () =
+  {
+    shards = Atomic.make (Array.init nthreads (fun _ -> fresh_shard ()));
+    grow_mutex = Mutex.create ();
+  }
+
+let shard_count t = Array.length (Atomic.get t.shards)
 
 let rec shard t thread =
   let shards = Atomic.get t.shards in
@@ -160,6 +175,28 @@ let start () = if Atomic.get timers_on then now_ns () else 0
 
 let stop t ~thread span t0 =
   if t0 > 0 then record_ns t ~thread span (now_ns () - t0)
+
+(* The TMs' span sites time one event in [sample_period] per thread and
+   span kind: two clock reads cost about as much as a short commit, so
+   timing every event would make the telemetry a large share of what it
+   measures.  A histogram's count is then the number of samples, and
+   its mean and buckets estimate the distribution over all events. *)
+let sample_period = 64
+
+(* [start] for the [sample_period]-th event of [span] on [thread],
+   beginning with the first; 0 (which [stop] ignores) otherwise. *)
+let start_sampled t ~thread span =
+  let cd = (shard t thread).span_countdown in
+  let i = Span.index span in
+  let n = cd.(i) in
+  if n = 0 then begin
+    cd.(i) <- sample_period - 1;
+    start ()
+  end
+  else begin
+    cd.(i) <- n - 1;
+    0
+  end
 
 (* ---------------------------- snapshots ---------------------------- *)
 

@@ -1,6 +1,6 @@
 /* Monotonic nanoseconds as a tagged OCaml int: the span timers sit on
-   TM hot paths (every transactional read), so the clock read must not
-   box.  63-bit nanoseconds since boot overflow after ~292 years. */
+   TM commit and fence paths, so the clock read must not box.  63-bit
+   nanoseconds since boot overflow after ~292 years. */
 
 #include <caml/mlvalues.h>
 #include <time.h>

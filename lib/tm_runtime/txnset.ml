@@ -51,34 +51,33 @@ let clear t =
    spreads them across the table. *)
 let hash k = (k * 0x9E3779B97F4A7C1) lxor (k lsr 12)
 
+(* The probe loops are top-level functions taking the table, key and
+   mask as arguments: a local [let rec] capturing them would be a
+   closure allocated on every call (flambda is off), and these run on
+   every transactional read and write. *)
+let rec probe_index t k mask s =
+  if t.slot_gen.(s) <> t.gen then -1
+  else
+    let i = t.slot_idx.(s) in
+    if t.keys.(i) = k then i else probe_index t k mask ((s + 1) land mask)
+
 (* Index into [keys] of [k], or -1. *)
 let index t k =
-  if t.n = 0 then -1
-  else
-    let mask = t.mask in
-    let rec probe s =
-      if t.slot_gen.(s) <> t.gen then -1
-      else
-        let i = t.slot_idx.(s) in
-        if t.keys.(i) = k then i else probe ((s + 1) land mask)
-    in
-    probe (hash k land mask)
+  if t.n = 0 then -1 else probe_index t k t.mask (hash k land t.mask)
 
 let mem t k = index t k >= 0
 let key t i = t.keys.(i)
 let value t i = t.vals.(i)
 let find t k ~default = match index t k with -1 -> default | i -> t.vals.(i)
 
-let place_slot t k i =
-  let mask = t.mask in
-  let rec go s =
-    if t.slot_gen.(s) = t.gen then go ((s + 1) land mask)
-    else begin
-      t.slot_gen.(s) <- t.gen;
-      t.slot_idx.(s) <- i
-    end
-  in
-  go (hash k land mask)
+let rec probe_free t mask i s =
+  if t.slot_gen.(s) = t.gen then probe_free t mask i ((s + 1) land mask)
+  else begin
+    t.slot_gen.(s) <- t.gen;
+    t.slot_idx.(s) <- i
+  end
+
+let place_slot t k i = probe_free t t.mask i (hash k land t.mask)
 
 let grow t =
   let cap = 2 * Array.length t.keys in
@@ -95,26 +94,25 @@ let grow t =
     place_slot t t.keys.(i) i
   done
 
-let rec set t k v =
-  let mask = t.mask in
-  let rec probe s =
-    if t.slot_gen.(s) <> t.gen then
-      if t.n = Array.length t.keys then begin
-        grow t;
-        set t k v
-      end
-      else begin
-        t.slot_gen.(s) <- t.gen;
-        t.slot_idx.(s) <- t.n;
-        t.keys.(t.n) <- k;
-        t.vals.(t.n) <- v;
-        t.n <- t.n + 1
-      end
-    else
-      let i = t.slot_idx.(s) in
-      if t.keys.(i) = k then t.vals.(i) <- v else probe ((s + 1) land mask)
-  in
-  probe (hash k land mask)
+let rec set t k v = probe_set t k v t.mask (hash k land t.mask)
+
+and probe_set t k v mask s =
+  if t.slot_gen.(s) <> t.gen then
+    if t.n = Array.length t.keys then begin
+      grow t;
+      set t k v
+    end
+    else begin
+      t.slot_gen.(s) <- t.gen;
+      t.slot_idx.(s) <- t.n;
+      t.keys.(t.n) <- k;
+      t.vals.(t.n) <- v;
+      t.n <- t.n + 1
+    end
+  else
+    let i = t.slot_idx.(s) in
+    if t.keys.(i) = k then t.vals.(i) <- v
+    else probe_set t k v mask ((s + 1) land mask)
 
 let add t k = set t k 0
 
