@@ -246,6 +246,35 @@ module Make (S : Sched_intf.S) = struct
     Atomic.incr t.commits;
     Obs.incr_commit t.obs ~thread:txn.thread
 
+  (* Write locks are taken in ascending register order from index [i] of
+     the sorted write set on; the result is the number held when it
+     stops, [length wset] on success.  Top-level functions over the
+     descriptor, not closures: a writing commit allocates nothing. *)
+  let rec acquire_locks t txn i =
+    if i >= Txnset.length txn.wset then i
+    else begin
+      let x = Txnset.key txn.wset i in
+      S.yield ();
+      let w = Padded.get t.vlock x in
+      if Vlock.locked w then i
+      else begin
+        S.yield ();
+        if Padded.cas t.vlock x w (Vlock.lock w) then
+          acquire_locks t txn (i + 1)
+        else i
+      end
+    end
+
+  (* Release the first [k] write locks (version bits are preserved). *)
+  let unlock_locks t txn k =
+    for i = k - 1 downto 0 do
+      let x = Txnset.key txn.wset i in
+      S.yield ();
+      let w = Padded.get t.vlock x in
+      S.yield ();
+      Padded.set t.vlock x (Vlock.unlock w)
+    done
+
   let commit t txn =
     if recording t then
       log t ~thread:txn.thread (Action.Request Action.Txcommit);
@@ -285,37 +314,11 @@ module Make (S : Sched_intf.S) = struct
          once in place.  On failure exactly the acquired prefix is
          released (version bits are preserved by lock/unlock). *)
       Txnset.sort txn.wset;
-      let acquired = ref 0 in
-      let unlock_acquired () =
-        for i = !acquired - 1 downto 0 do
-          let x = Txnset.key txn.wset i in
-          S.yield ();
-          let w = Padded.get t.vlock x in
-          S.yield ();
-          Padded.set t.vlock x (Vlock.unlock w)
-        done
-      in
       let t0 = Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Write_lock in
-      let rec acquire i =
-        i >= nw
-        ||
-        let x = Txnset.key txn.wset i in
-        S.yield ();
-        let w = Padded.get t.vlock x in
-        if Vlock.locked w then false
-        else begin
-          S.yield ();
-          if Padded.cas t.vlock x w (Vlock.lock w) then begin
-            incr acquired;
-            acquire (i + 1)
-          end
-          else false
-        end
-      in
-      let acquired_all = acquire 0 in
+      let acquired = acquire_locks t txn 0 in
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Write_lock t0;
-      if not acquired_all then begin
-        unlock_acquired ();
+      if acquired < nw then begin
+        unlock_locks t txn acquired;
         abort_handler t txn Obs.Write_lock_busy
       end;
       (* Phase 2: write timestamp (line 19). *)
@@ -330,7 +333,7 @@ module Make (S : Sched_intf.S) = struct
                   || validate_rset t txn ~writer:true in
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Commit_validation t0;
       if not valid then begin
-        unlock_acquired ();
+        unlock_locks t txn nw;
         abort_handler t txn Obs.Commit_validation
       end;
       (* Optional widening of the validation/write-back window, used to

@@ -23,10 +23,10 @@ let is_opaque = function
   | Inconsistent _ | Cyclic _ | Invalid_graph _ -> false
 
 (* Build a graph with the given choices; on success extract and verify
-   the witness. *)
-let try_graph (rels : Relations.t) ?cache ?vis_pending ?ww_orders () =
-  let h = rels.Relations.info.History.history in
-  match Graph.build ?cache ?vis_pending ?ww_orders rels with
+   the witness against the relations already computed. *)
+let try_graph (rels : Relations.t) ?cache ?vis_pending ?write_stamp ?ww_orders
+    () =
+  match Graph.build ?cache ?vis_pending ?write_stamp ?ww_orders rels with
   | Error msg -> Error (`Invalid msg)
   | Ok g ->
       if not (Graph.is_acyclic g) then Error `Cyclic
@@ -34,16 +34,29 @@ let try_graph (rels : Relations.t) ?cache ?vis_pending ?ww_orders () =
         match Graph.witness g with
         | None -> Error `Cyclic
         | Some s ->
-            if Atomic_tm.mem s && Spo_relation.in_relation h s then Ok s
+            if Atomic_tm.mem s && Spo_relation.in_relation_of rels s then Ok s
             else Error `Witness_unverified
       end
+
+(* The canonical graph, and when it has a cycle the graph whose writers
+   take effect at their txcommit requests: the two ends of the window in
+   which a TM that writes back before it logs [committed] serializes. *)
+let try_canonical rels =
+  match try_graph rels () with
+  | Error (`Cyclic | `Witness_unverified) as first -> (
+      match
+        try_graph rels ~write_stamp:(Graph.commit_request_stamp rels) ()
+      with
+      | Ok s -> Ok s
+      | Error _ -> first)
+  | r -> r
 
 let check_canonical h =
   let rels = Relations.of_history h in
   match Consistency.errors rels with
   | _ :: _ as errs -> Inconsistent errs
   | [] -> (
-      match try_graph rels () with
+      match try_canonical rels with
       | Ok s -> Opaque s
       | Error (`Invalid msg) -> Invalid_graph msg
       | Error `Cyclic -> Cyclic "canonical graph has a cycle"
@@ -88,7 +101,7 @@ let check ?(exhaustive_limit = 20000) h =
   match Consistency.errors rels with
   | _ :: _ as errs -> Inconsistent errs
   | [] -> (
-      match try_graph rels () with
+      match try_canonical rels with
       | Ok s -> Opaque s
       | Error (`Invalid msg) -> Invalid_graph msg
       | Error (`Cyclic | `Witness_unverified) -> (
@@ -100,7 +113,7 @@ let check ?(exhaustive_limit = 20000) h =
           let cache = Graph.make_cache rels in
           let info = rels.Relations.info in
           let pending = Atomic_tm.commit_pending_txns info in
-          let registers = List.map fst rels.Relations.wr in
+          let registers = Relations.registers rels in
           let found = ref None in
           let budget = ref exhaustive_limit in
           let vis_masks = subsets pending in
@@ -202,10 +215,9 @@ let check_exhaustive_witness ?(node_limit = 9) h =
   Array.iteri
     (fun n acts -> List.iter (fun i -> node_of_action.(i) <- n) acts)
     node_actions;
-  let hb_nodes = Rel.create nnodes in
-  Rel.iter_pairs rels.Relations.hb (fun i j ->
-      let ni = node_of_action.(i) and nj = node_of_action.(j) in
-      if ni <> nj then Rel.add hb_nodes ni nj);
+  let hb_nodes =
+    Rel.map rels.Relations.hb ~size:nnodes (Array.get node_of_action)
+  in
   let candidate order =
     let out = ref [] in
     List.iter
@@ -219,7 +231,7 @@ let check_exhaustive_witness ?(node_limit = 9) h =
     if !found then ()
     else if remaining = [] then begin
       let s = candidate (List.rev placed) in
-      if Atomic_tm.mem s && Spo_relation.in_relation h s then found := true
+      if Atomic_tm.mem s && Spo_relation.in_relation_of rels s then found := true
     end
     else
       List.iter

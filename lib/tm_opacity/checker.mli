@@ -33,9 +33,13 @@ val check : ?exhaustive_limit:int -> History.t -> verdict
     (default 20000). *)
 
 val check_canonical : History.t -> verdict
-(** Only the canonical graph, no fallback — this is the check that the
-    paper's TL2 proof performs, and it succeeds on every history TL2
-    actually produces. *)
+(** The canonical graph, no search — the check that the paper's TL2
+    proof performs.  Writers take effect at their completion, or at the
+    first read of one of their values when earlier
+    ({!Graph.default_write_stamp}); when that graph has a cycle, the
+    graph with writers at their [txcommit] requests
+    ({!Graph.commit_request_stamp}) is tried too.  Builds one
+    {!Relations.t} and verifies the witness against it. *)
 
 val check_exhaustive_witness : ?node_limit:int -> History.t -> bool
 (** Oracle: enumerate all interleavings of the history's nodes

@@ -3,6 +3,8 @@ open Tm_relations
 
 type node = Txn of int | Access of int
 
+type read = { r_node : int; r_reg : Types.reg; r_writer : int }
+
 type t = {
   rels : Relations.t;
   nodes : node array;
@@ -10,9 +12,8 @@ type t = {
   vis : bool array;
   hb : Rel.t;
   rt : Rel.t;
-  wr : (Types.reg * Rel.t) list;
-  ww : (Types.reg * Rel.t) list;
-  rw : (Types.reg * Rel.t) list;
+  ww : (Types.reg * int list) list;
+  reads : read list;
   deps : Rel.t;
 }
 
@@ -27,29 +28,6 @@ let node_actions g n =
       acc.History.a_request
       :: (match acc.History.a_response with Some r -> [ r ] | None -> [])
 
-let node_writes_reg g n x =
-  let h = (info_of g).History.history in
-  List.exists
-    (fun i ->
-      Action.is_write_request (History.get h i)
-      && Action.accessed_reg (History.get h i) = Some x)
-    (node_actions g n)
-
-let node_reads_vinit g n x =
-  let info = info_of g in
-  let h = info.History.history in
-  List.exists
-    (fun i ->
-      match
-        ((History.get h i).Action.kind, info.History.request_of.(i))
-      with
-      | Action.Response (Action.Ret v), Some req when v = Types.v_init -> (
-          match (History.get h req).Action.kind with
-          | Action.Request (Action.Read y) -> y = x
-          | _ -> false)
-      | _ -> false)
-    (node_actions g n)
-
 let node_thread g n =
   let info = info_of g in
   match g.nodes.(n) with
@@ -58,31 +36,58 @@ let node_thread g n =
 
 let default_vis_pending (rels : Relations.t) k =
   (* Visible iff read from by an action outside the transaction. *)
-  let info = rels.Relations.info in
-  let txn_actions = info.History.txns.(k).History.t_actions in
-  List.exists
-    (fun i ->
-      List.exists
-        (fun (_, wr_x) ->
-          Rel.fold_pairs wr_x
-            (fun acc src dst ->
-              acc || (src = i && info.History.txn_of.(dst) <> k))
-            false)
-        rels.Relations.wr)
-    txn_actions
+  let txn_of = rels.Relations.info.History.txn_of in
+  let n = Array.length txn_of in
+  let rec go j =
+    j < n
+    && (let w = Relations.writer rels j in
+        (w >= 0 && txn_of.(w) = k && txn_of.(j) <> k) || go (j + 1))
+  in
+  go 0
 
-let default_write_stamp (rels : Relations.t) = function
+(* For each transaction, the first read response of another node that
+   returns one of its values, or max_int. *)
+let first_external_reads (rels : Relations.t) =
+  let txn_of = rels.Relations.info.History.txn_of in
+  let first = Array.make (Array.length rels.Relations.info.History.txns) max_int in
+  for j = Array.length txn_of - 1 downto 0 do
+    let w = Relations.writer rels j in
+    if w >= 0 && txn_of.(w) >= 0 && txn_of.(j) <> txn_of.(w) then
+      first.(txn_of.(w)) <- j
+  done;
+  first
+
+let default_write_stamp (rels : Relations.t) =
+  let first_read = lazy (first_external_reads rels) in
+  function
   | Access a -> rels.Relations.info.History.accesses.(a).History.a_request
-  | Txn k -> (
+  | Txn k ->
       let info = rels.Relations.info in
-      match History.txn_completion info k with
-      | Some c -> c
-      | None -> (
-          match List.rev info.History.txns.(k).History.t_actions with
-          | last :: _ -> last
-          | [] -> 0))
+      let last =
+        match History.txn_completion info k with
+        | Some c -> c
+        | None -> (
+            match List.rev info.History.txns.(k).History.t_actions with
+            | last :: _ -> last
+            | [] -> 0)
+      in
+      min last (Lazy.force first_read).(k)
 
-let registers_of (rels : Relations.t) = List.map fst rels.Relations.wr
+let commit_request_stamp (rels : Relations.t) =
+  let default = default_write_stamp rels in
+  let h = rels.Relations.info.History.history in
+  function
+  | Txn k as node -> (
+      match
+        List.find_opt
+          (fun i ->
+            Action.equal_kind (History.get h i).Action.kind
+              (Action.Request Action.Txcommit))
+          rels.Relations.info.History.txns.(k).History.t_actions
+      with
+      | Some i -> min i (default node)
+      | None -> default node)
+  | node -> default node
 
 (* Node structure and hb/rt node lifts depend only on the history, not
    on the vis/ww choices, so the fallback search of [Checker.check] can
@@ -113,29 +118,116 @@ let node_structure (rels : Relations.t) =
   done;
   (nodes, node_of_action)
 
-(* Lift an action-level relation to nodes, dropping self edges and
-   actions outside every node (fence actions). *)
-let lift_rel ~nnodes ~node_of_action rel =
-  let r = Rel.create nnodes in
-  Rel.iter_pairs rel (fun i j ->
-      let ni = node_of_action.(i) and nj = node_of_action.(j) in
-      if ni >= 0 && nj >= 0 && ni <> nj then Rel.add r ni nj);
-  r
+(* hb lifted to nodes, dropping self edges and fence actions. *)
+let lift_hb (rels : Relations.t) nodes node_of_action =
+  Rel.map rels.Relations.hb ~size:(Array.length nodes) (Array.get node_of_action)
+
+(* rt lifted to nodes: transaction k before transaction k' when k's
+   completion precedes k''s txbegin.  Accesses have no completion or
+   txbegin. *)
+let lift_rt (rels : Relations.t) nodes =
+  let txns = rels.Relations.info.History.txns in
+  let rt = Rel.create (Array.length nodes) in
+  Array.iteri
+    (fun k _ ->
+      match History.txn_completion rels.Relations.info k with
+      | None -> ()
+      | Some c ->
+          Array.iteri
+            (fun k' (t' : History.txn) ->
+              if k' <> k && c < List.hd t'.History.t_actions then
+                Rel.add rt k k')
+            txns)
+    txns;
+  rt
 
 let make_cache (rels : Relations.t) =
   let nodes, node_of_action = node_structure rels in
-  let nnodes = Array.length nodes in
-  let hb = lift_rel ~nnodes ~node_of_action rels.Relations.hb in
-  let rt = lift_rel ~nnodes ~node_of_action rels.Relations.rt in
+  let hb = lift_hb rels nodes node_of_action in
   {
     c_nodes = nodes;
     c_node_of_action = node_of_action;
     c_hb = hb;
-    c_rt = rt;
+    c_rt = lift_rt rels nodes;
     c_hb_closure = lazy (Rel.transitive_closure hb);
   }
 
 let cache_hb_closure cache = Lazy.force cache.c_hb_closure
+
+(* Every non-local read of a node: the node it reads from, or [-1] for
+   [vinit].  Reads of a node's own writes add no edge. *)
+let node_reads (rels : Relations.t) node_of_action =
+  let h = rels.Relations.info.History.history in
+  let request_of = rels.Relations.info.History.request_of in
+  let acc = ref [] in
+  for j = History.length h - 1 downto 0 do
+    match ((History.get h j).Action.kind, request_of.(j)) with
+    | Action.Response (Action.Ret v), Some req -> (
+        match (History.get h req).Action.kind with
+        | Action.Request (Action.Read x) ->
+            let n = node_of_action.(j) and w = Relations.writer rels j in
+            if v = Types.v_init then
+              acc := { r_node = n; r_reg = x; r_writer = -1 } :: !acc
+            else if w >= 0 && node_of_action.(w) <> n then
+              acc := { r_node = n; r_reg = x; r_writer = node_of_action.(w) }
+                     :: !acc
+        | _ -> ())
+    | _ -> ()
+  done;
+  !acc
+
+(* The visible writers of each register, ascending by node. *)
+let writers_by_reg (rels : Relations.t) node_of_action vis =
+  let h = rels.Relations.info.History.history in
+  let tbl = Hashtbl.create 8 in
+  for i = History.length h - 1 downto 0 do
+    let a = History.get h i in
+    match Action.accessed_reg a with
+    | Some x
+      when Action.is_write_request a
+           && node_of_action.(i) >= 0
+           && vis.(node_of_action.(i)) ->
+        let ws = Option.value ~default:[] (Hashtbl.find_opt tbl x) in
+        Hashtbl.replace tbl x (node_of_action.(i) :: ws)
+    | _ -> ()
+  done;
+  fun x ->
+    List.sort_uniq compare (Option.value ~default:[] (Hashtbl.find_opt tbl x))
+
+type dep = WR | WW | RW
+
+(* The ww successors of [w] in [order]: all writers when [w] is [-1]. *)
+let rec after w = function
+  | [] -> []
+  | n :: rest -> if w = -1 then n :: rest else if n = w then rest else after w rest
+
+let iter_dep g kind f =
+  match kind with
+  | WR ->
+      List.iter
+        (fun r -> if r.r_writer >= 0 then f r.r_reg r.r_writer r.r_node)
+        g.reads
+  | WW ->
+      List.iter
+        (fun (x, order) ->
+          let rec total = function
+            | [] -> ()
+            | n :: rest ->
+                List.iter (f x n) rest;
+                total rest
+          in
+          total order)
+        g.ww
+  | RW ->
+      (* (∃n''. n'' -WW-> n' ∧ n'' -WR-> n) ⟹ n -RW-> n'; reads of
+         vinit are overwritten by every visible writer *)
+      List.iter
+        (fun r ->
+          let order = Option.value ~default:[] (List.assoc_opt r.r_reg g.ww) in
+          List.iter
+            (fun n' -> if n' <> r.r_node then f r.r_reg r.r_node n')
+            (after r.r_writer order))
+        g.reads
 
 let build ?cache ?vis_pending ?write_stamp ?(ww_orders = [])
     (rels : Relations.t) =
@@ -159,134 +251,63 @@ let build ?cache ?vis_pending ?write_stamp ?(ww_orders = [])
             | History.Aborted | History.Live -> false
             | History.Commit_pending -> vis_pending k))
   in
-  let g_stub =
-    {
-      rels;
-      nodes;
-      node_of_action;
-      vis;
-      hb = Rel.create nnodes;
-      rt = Rel.create nnodes;
-      wr = [];
-      ww = [];
-      rw = [];
-      deps = Rel.create nnodes;
-    }
-  in
   let write_stamp =
-    match write_stamp with
-    | Some f -> f
-    | None -> fun node -> default_write_stamp rels node
+    match write_stamp with Some f -> f | None -> default_write_stamp rels
   in
-  let lift = lift_rel ~nnodes ~node_of_action in
   let hb, rt =
     (* shared read-only across candidate graphs when cached *)
     match cache with
     | Some c -> (c.c_hb, c.c_rt)
-    | None -> (lift rels.Relations.hb, lift rels.Relations.rt)
+    | None -> (lift_hb rels nodes node_of_action, lift_rt rels nodes)
   in
-  let registers = registers_of rels in
   let error = ref None in
-  let wr =
-    List.map
-      (fun x ->
-        let r = lift (List.assoc x rels.Relations.wr) in
-        Rel.iter_pairs r (fun src _ ->
-            if not vis.(src) then
-              error :=
-                Some
-                  (Format.asprintf
-                     "node %d is read from on %a but not visible" src
-                     Types.pp_reg x));
-        (x, r))
-      registers
-  in
+  let reads = node_reads rels node_of_action in
+  List.iter
+    (fun r ->
+      if r.r_writer >= 0 && not vis.(r.r_writer) then
+        error :=
+          Some
+            (Format.asprintf "node %d is read from on %a but not visible"
+               r.r_writer Types.pp_reg r.r_reg))
+    reads;
+  let writers = writers_by_reg rels node_of_action vis in
   let ww =
     List.map
       (fun x ->
-        let writers =
-          List.filter
-            (fun n -> vis.(n) && node_writes_reg g_stub n x)
-            (List.init nnodes (fun n -> n))
-        in
-        let sorted =
-          match List.assoc_opt x ww_orders with
-          | Some order ->
-              if
-                List.sort compare order = List.sort compare writers
-              then order
-              else begin
-                error :=
-                  Some
-                    (Format.asprintf
-                       "ww_orders for %a is not a permutation of the \
-                        visible writers"
-                       Types.pp_reg x);
-                writers
-              end
-          | None ->
+        let writers = writers x in
+        match List.assoc_opt x ww_orders with
+        | Some order ->
+            if List.sort compare order = writers then (x, order)
+            else begin
+              error :=
+                Some
+                  (Format.asprintf
+                     "ww_orders for %a is not a permutation of the \
+                      visible writers"
+                     Types.pp_reg x);
+              (x, writers)
+            end
+        | None ->
+            ( x,
               List.sort
                 (fun a b ->
                   compare (write_stamp nodes.(a)) (write_stamp nodes.(b)))
-                writers
-        in
-        let r = Rel.create nnodes in
-        let rec total = function
-          | [] -> ()
-          | n :: rest ->
-              List.iter (fun m -> Rel.add r n m) rest;
-              total rest
-        in
-        total sorted;
-        (x, r))
-      registers
-  in
-  let rw =
-    List.map
-      (fun x ->
-        let wr_x = List.assoc x wr and ww_x = List.assoc x ww in
-        let r = Rel.create nnodes in
-        (* (∃n''. n'' -WW-> n' ∧ n'' -WR-> n) ⟹ n -RW-> n' *)
-        Rel.iter_pairs wr_x (fun n'' n ->
-            Rel.iter_pairs ww_x (fun src n' ->
-                if src = n'' && n <> n' then Rel.add r n n'));
-        (* reads of vinit are overwritten by every visible writer *)
-        for n = 0 to nnodes - 1 do
-          if node_reads_vinit g_stub n x then
-            for n' = 0 to nnodes - 1 do
-              if n <> n' && vis.(n') && node_writes_reg g_stub n' x then
-                Rel.add r n n'
-            done
-        done;
-        (x, r))
-      registers
+                writers ))
+      (Relations.registers rels)
   in
   match !error with
   | Some msg -> Error msg
   | None ->
-      let deps = Rel.create nnodes in
-      List.iter (fun (_, r) -> Rel.union_into ~dst:deps r) wr;
-      List.iter (fun (_, r) -> Rel.union_into ~dst:deps r) ww;
-      List.iter (fun (_, r) -> Rel.union_into ~dst:deps r) rw;
-      Ok { g_stub with hb; rt; wr; ww; rw; deps }
-
-let visible_writers g x =
-  match List.assoc_opt x g.ww with
-  | None -> []
-  | Some ww_x ->
-      let nnodes = Array.length g.nodes in
-      let writers =
-        List.filter
-          (fun n -> g.vis.(n) && node_writes_reg g n x)
-          (List.init nnodes (fun n -> n))
+      let g =
+        { rels; nodes; node_of_action; vis; hb; rt; ww; reads;
+          deps = Rel.create nnodes }
       in
-      (* sort by WW out-degree, descending: first writer dominates all *)
-      List.sort
-        (fun a b ->
-          compare
-            (List.length (Rel.successors ww_x b))
-            (List.length (Rel.successors ww_x a)))
-        writers
+      List.iter
+        (fun kind -> iter_dep g kind (fun _ a b -> Rel.add g.deps a b))
+        [ WR; WW; RW ];
+      Ok g
+
+let visible_writers g x = Option.value ~default:[] (List.assoc_opt x g.ww)
 
 let is_acyclic g = Rel.is_acyclic (Rel.union g.hb g.deps)
 
@@ -314,17 +335,12 @@ let witness g =
   let fence_actions = Array.of_list !fence_actions in
   let nfences = Array.length fence_actions in
   let fence_node = Hashtbl.create 8 in
-  Array.iteri
-    (fun k i -> Hashtbl.replace fence_node i (nnodes + k))
-    fence_actions;
-  let ext_of_action i =
-    if g.node_of_action.(i) >= 0 then g.node_of_action.(i)
-    else Hashtbl.find fence_node i
+  Array.iteri (fun k i -> Hashtbl.replace fence_node i (nnodes + k)) fence_actions;
+  let ext =
+    Rel.map g.rels.Relations.hb ~size:(nnodes + nfences) (fun i ->
+        if g.node_of_action.(i) >= 0 then g.node_of_action.(i)
+        else Hashtbl.find fence_node i)
   in
-  let ext = Rel.create (nnodes + nfences) in
-  Rel.iter_pairs g.rels.Relations.hb (fun i j ->
-      let ni = ext_of_action i and nj = ext_of_action j in
-      if ni <> nj then Rel.add ext ni nj);
   Rel.iter_pairs g.deps (fun i j -> Rel.add ext i j);
   match Rel.topological_sort ext with
   | None -> None

@@ -20,6 +20,14 @@ open Tm_relations
 type node = Txn of int | Access of int
 (** Indices into [info.txns] / [info.accesses] respectively. *)
 
+type read = {
+  r_node : int;  (** the reading node *)
+  r_reg : Types.reg;
+  r_writer : int;  (** the node read from, or [-1] for [vinit] *)
+}
+(** A read of a node from another node (or of [vinit]).  Reads of a
+    node's own writes are left out: they add no edge. *)
+
 type t = {
   rels : Relations.t;
   nodes : node array;
@@ -28,16 +36,23 @@ type t = {
   vis : bool array;
   hb : Rel.t;  (** happens-before lifted to nodes *)
   rt : Rel.t;  (** real-time order lifted to nodes (used by Thm 6.6) *)
-  wr : (Types.reg * Rel.t) list;
-  ww : (Types.reg * Rel.t) list;
-  rw : (Types.reg * Rel.t) list;
+  ww : (Types.reg * int list) list;
+      (** per register, its visible writers in [WW] order *)
+  reads : read list;  (** [WR] per register, as reads; [RW] follows *)
   deps : Rel.t;  (** WR ∪ WW ∪ RW, all registers *)
 }
+
+type dep = WR | WW | RW
+
+val iter_dep : t -> dep -> (Types.reg -> int -> int -> unit) -> unit
+(** [iter_dep g kind f] calls [f x n n'] on each edge [n → n'] of the
+    given component on register [x]: [WR] from writer to reader, [WW]
+    every ordered pair of the register's total order, [RW] from a
+    reader to each writer [WW]-after the one it read from. *)
 
 val node_actions : t -> int -> int list
 (** Action indices belonging to a node, ascending. *)
 
-val node_writes_reg : t -> int -> Types.reg -> bool
 val node_thread : t -> int -> Types.thread_id
 
 val default_vis_pending : Relations.t -> int -> bool
@@ -45,10 +60,23 @@ val default_vis_pending : Relations.t -> int -> bool
     visible iff some other node reads from it (it has "taken effect"). *)
 
 val default_write_stamp : Relations.t -> node -> int
-(** The canonical [WW] position of a visible writer: the index at which
-    its writes hit the memory — a non-transactional access's request, a
-    completed transaction's completion action, a commit-pending
-    transaction's [txcommit]. *)
+(** The canonical [WW] position of a visible writer: the index by which
+    its writes have hit the memory — a non-transactional access's
+    request; for a transaction, its completion action (a commit-pending
+    one's [txcommit]) or, when earlier, the first read response of
+    another node that returns one of its values.  The second case is
+    TXVIS of the paper's TL2 proof (Figure 10) as {!Monitor} detects it:
+    a TM that writes back before it logs [committed] can be read from
+    first.  Partially applied to the relations, it indexes those reads
+    once. *)
+
+val commit_request_stamp : Relations.t -> node -> int
+(** The earliest [WW] position of a visible writer: as
+    {!default_write_stamp}, but a transaction that reached [txcommit]
+    is placed at its [txcommit] request.  A TM that writes back between
+    [txcommit] and [committed] (TL2, TLRW) serializes its writers
+    somewhere in that window; when a committer is descheduled before
+    it logs [committed], this end of the window is the one that holds. *)
 
 type cache
 (** History-level data shared by every member of [Graph(H)]: the node

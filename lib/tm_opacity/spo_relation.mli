@@ -15,6 +15,10 @@ val permutation_of : History.t -> History.t -> int array option
 val in_relation : History.t -> History.t -> bool
 (** [in_relation h1 h2] decides [h1 ⊑ h2]. *)
 
+val in_relation_of : Relations.t -> History.t -> bool
+(** [in_relation_of rels1 h2] decides [h1 ⊑ h2] given the relations of
+    [h1], without recomputing them. *)
+
 val hb_preserving : Relations.t -> History.t -> int array -> bool
 (** [hb_preserving rels1 h2 theta] checks the second condition of
     Definition 4.1 given precomputed relations of [h1]. *)

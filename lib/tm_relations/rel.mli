@@ -1,5 +1,5 @@
 (** Finite binary relations over [{0..n-1}], implemented as bitset
-    adjacency rows.
+    adjacency rows stored in one flat [int array].
 
     All the history relations of §3 (program order, client order, fence
     orders, read dependencies, happens-before) are relations over action
@@ -29,7 +29,9 @@ val compose : t -> t -> t
     [(i,j) ∈ r] and [(j,k) ∈ s]. *)
 
 val transitive_closure : t -> t
-(** Warshall's algorithm over bitset rows; [r⁺]. *)
+(** [r⁺].  A relation whose pairs all have [i < j] is closed in one
+    reverse pass over its rows, O(n + edges) row unions; any other
+    relation by Warshall's algorithm over bitset rows. *)
 
 val close_into : t -> unit
 (** In-place transitive closure. *)
@@ -45,6 +47,19 @@ val reachable : t -> int -> int -> bool
 (** [reachable r i j] iff [(i,j) ∈ r⁺] (a path of one or more edges) —
     a single-source search, equivalent to
     [mem (transitive_closure r) i j] without building the closure. *)
+
+val map : t -> size:int -> (int -> int) -> t
+(** [map r ~size f] is the image [{(f i, f j) | (i,j) ∈ r}] over
+    [{0..size-1}], dropping pairs where [f] is negative on either side
+    or maps both sides to the same element. *)
+
+val respects_order : t -> int array -> bool
+(** [respects_order r order], for an array listing every element of
+    [{0..n-1}] once, iff [i] comes before [j] in [order] for every pair
+    [(i,j) ∈ r] with [i ≠ j].  O(n · n/63): no pair is enumerated. *)
+
+val iter_succ : t -> int -> (int -> unit) -> unit
+(** [iter_succ r i f] calls [f j] for each [(i,j) ∈ r], [j] ascending. *)
 
 val iter_pairs : t -> (int -> int -> unit) -> unit
 val fold_pairs : t -> ('a -> int -> int -> 'a) -> 'a -> 'a

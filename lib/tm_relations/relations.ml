@@ -2,14 +2,9 @@ open Tm_model
 
 type t = {
   info : History.info;
-  po : Rel.t;
-  xpo : Rel.t;
-  cl : Rel.t;
-  af : Rel.t;
-  bf : Rel.t;
-  wr : (Types.reg * Rel.t) list;
-  txwr : (Types.reg * Rel.t) list;
-  rt : Rel.t;
+  registers : Types.reg list;
+  next_txbegin : int array Lazy.t;
+  writer : int array;
   hb : Rel.t;
 }
 
@@ -26,10 +21,7 @@ let registers_of (h : History.t) =
 let next_own_txbegin (h : History.t) =
   let n = History.length h in
   let next = Array.make n max_int in
-  let nthreads =
-    Array.fold_left (fun m (a : Action.t) -> max m (a.thread + 1)) 0 h
-  in
-  let last_seen = Array.make nthreads max_int in
+  let last_seen = Array.make (History.threads_of h) max_int in
   for i = n - 1 downto 0 do
     let a = History.get h i in
     next.(i) <- last_seen.(a.Action.thread);
@@ -38,120 +30,132 @@ let next_own_txbegin (h : History.t) =
   done;
   next
 
-(* [add_cross r xs ys] adds every (i, j) with i ∈ xs, j ∈ ys, i < j.
-   Both lists ascending; used to build the structurally sparse
-   relations directly instead of probing all n² pairs with a
-   predicate. *)
-let add_cross r xs ys =
-  List.iter (fun i -> List.iter (fun j -> if i < j then Rel.add r i j) ys) xs
-
-let compute (info : History.info) : t =
+(* Read dependencies: with unique written values, each read response
+   [ret(v)] (v ≠ vinit) has at most one writer, a write request to the
+   register the read requested. *)
+let writers (info : History.info) =
   let h = info.History.history in
   let n = History.length h in
-  let act i = History.get h i in
-  let thread i = (act i).Action.thread in
-  let kind i = (act i).Action.kind in
-  let is_nontxn i = info.History.txn_of.(i) = -1 in
-  let nthreads =
-    Array.fold_left (fun m (a : Action.t) -> max m (a.Action.thread + 1)) 0 h
-  in
-  (* per-thread action indices, ascending *)
-  let by_thread = Array.make nthreads [] in
-  for i = n - 1 downto 0 do
-    by_thread.(thread i) <- i :: by_thread.(thread i)
-  done;
-  (* po and xpo are per-thread chains: walk each thread's index list
-     instead of testing the predicate on all n² pairs *)
-  let po = Rel.create n in
-  let xpo = Rel.create n in
-  let next_txbegin = next_own_txbegin h in
-  Array.iter
-    (fun idxs ->
-      let rec pairs = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter
-              (fun j ->
-                Rel.add po i j;
-                if next_txbegin.(i) < j then Rel.add xpo i j)
-              rest;
-            pairs rest
-      in
-      pairs idxs)
-    by_thread;
-  (* the remaining base relations connect small index classes; collect
-     each class once and add the cross edges directly *)
-  let collect p =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if p i then acc := i :: !acc
-    done;
-    !acc
-  in
-  let nontxns = collect is_nontxn in
-  let fbegins =
-    collect (fun i ->
-        Action.equal_kind (kind i) (Action.Request Action.Fbegin))
-  in
-  let txbegins =
-    collect (fun i ->
-        Action.equal_kind (kind i) (Action.Request Action.Txbegin))
-  in
-  let fends =
-    collect (fun i ->
-        Action.equal_kind (kind i) (Action.Response Action.Fend))
-  in
-  let completions = collect (fun i -> Action.is_completion (act i)) in
-  let cl = Rel.create n in
-  add_cross cl nontxns nontxns;
-  let af = Rel.create n in
-  add_cross af fbegins txbegins;
-  let bf = Rel.create n in
-  add_cross bf completions fends;
-  let rt = Rel.create n in
-  add_cross rt completions txbegins;
-  (* Read dependencies: with unique written values, each read response
-     [ret(v)] (v ≠ vinit) has at most one writer. *)
-  let writer_of_value = Hashtbl.create 16 in
+  let writer_of_value = Hashtbl.create 64 in
   for i = 0 to n - 1 do
-    match Action.written_value (act i) with
+    match Action.written_value (History.get h i) with
     | Some v -> Hashtbl.replace writer_of_value v i
     | None -> ()
   done;
-  let registers = registers_of h in
-  let wr_tbl = List.map (fun x -> (x, Rel.create n)) registers in
-  let txwr_tbl = List.map (fun x -> (x, Rel.create n)) registers in
-  for j = 0 to n - 1 do
-    match (kind j, info.History.request_of.(j)) with
-    | Action.Response (Action.Ret v), Some req when v <> Types.v_init -> (
-        match ((act req).Action.kind, Hashtbl.find_opt writer_of_value v) with
-        | Action.Request (Action.Read x), Some i
-          when Action.accessed_reg (act i) = Some x ->
-            Rel.add (List.assoc x wr_tbl) i j;
-            if (not (is_nontxn i)) && not (is_nontxn j) then
-              Rel.add (List.assoc x txwr_tbl) i j
-        | _ -> ())
-    | _ -> ()
-  done;
+  Array.init n (fun j ->
+      match ((History.get h j).Action.kind, info.History.request_of.(j)) with
+      | Action.Response (Action.Ret v), Some req when v <> Types.v_init -> (
+          match
+            ((History.get h req).Action.kind, Hashtbl.find_opt writer_of_value v)
+          with
+          | Action.Request (Action.Read x), Some i
+            when Action.accessed_reg (History.get h i) = Some x ->
+              i
+          | _ -> -1)
+      | _ -> -1)
+
+let kind_is h i k = Action.equal_kind (History.get h i).Action.kind k
+
+(* hb is the closure of sparse generators with the same closure as
+   po ∪ cl ∪ af ∪ bf ∪ xpo;txwr:
+   - po and cl as chains (each action to the next of its thread; each
+     non-transactional action to the next one);
+   - af from each fbegin to the txbegins after it, but only those with
+     no earlier txbegin of their thread after the fbegin (po carries the
+     edge on);
+   - bf likewise from each completion to the first later fend per
+     thread;
+   - xpo;txwr from the last action of the writer's thread before the
+     writer's txbegin (po carries every earlier one) to the read. *)
+let happens_before (info : History.info) writer =
+  let h = info.History.history in
+  let n = History.length h in
   let hb = Rel.create n in
-  Rel.union_into ~dst:hb po;
-  Rel.union_into ~dst:hb cl;
-  Rel.union_into ~dst:hb af;
-  Rel.union_into ~dst:hb bf;
-  List.iter
-    (fun (x, txwr_x) ->
-      ignore x;
-      Rel.union_into ~dst:hb (Rel.compose xpo txwr_x))
-    txwr_tbl;
+  let nthreads = History.threads_of h in
+  let last = Array.make nthreads (-1) in
+  let last_nontxn = ref (-1) in
+  let txn_of = info.History.txn_of in
+  (* index of each transaction's txbegin's predecessor in its thread,
+     or -1 *)
+  let before_txn = Array.make (Array.length info.History.txns) (-1) in
+  (* fbegins and completions seen so far, latest first *)
+  let fbegins = ref [] and completions = ref [] in
+  let last_txbegin = Array.make nthreads (-1) in
+  let last_fend = Array.make nthreads (-1) in
+  let rec edges_from_after bound j = function
+    | i :: rest when i > bound ->
+        Rel.add hb i j;
+        edges_from_after bound j rest
+    | _ -> ()
+  in
+  for j = 0 to n - 1 do
+    let a = History.get h j in
+    let t = a.Action.thread in
+    if last.(t) >= 0 then Rel.add hb last.(t) j;
+    if txn_of.(j) = -1 then begin
+      if !last_nontxn >= 0 then Rel.add hb !last_nontxn j;
+      last_nontxn := j
+    end;
+    (match a.Action.kind with
+    | Action.Request Action.Txbegin ->
+        before_txn.(txn_of.(j)) <- last.(t);
+        edges_from_after last_txbegin.(t) j !fbegins;
+        last_txbegin.(t) <- j
+    | Action.Request Action.Fbegin -> fbegins := j :: !fbegins
+    | Action.Response Action.Fend ->
+        edges_from_after last_fend.(t) j !completions;
+        last_fend.(t) <- j
+    | _ -> ());
+    if Action.is_completion a then completions := j :: !completions;
+    last.(t) <- j
+  done;
+  for j = 0 to n - 1 do
+    let w = writer.(j) in
+    if w >= 0 && txn_of.(w) >= 0 && txn_of.(j) >= 0 then begin
+      let p = before_txn.(txn_of.(w)) in
+      if p >= 0 then Rel.add hb p j
+    end
+  done;
   Rel.close_into hb;
-  { info; po; xpo; cl; af; bf; wr = wr_tbl; txwr = txwr_tbl; rt; hb }
+  hb
+
+let compute (info : History.info) : t =
+  let h = info.History.history in
+  let writer = writers info in
+  {
+    info;
+    registers = registers_of h;
+    next_txbegin = lazy (next_own_txbegin h);
+    writer;
+    hb = happens_before info writer;
+  }
 
 let of_history h = compute (History.analyze h)
 
-let wr_all t =
-  let n = History.length t.info.History.history in
-  let r = Rel.create n in
-  List.iter (fun (_, wr_x) -> Rel.union_into ~dst:r wr_x) t.wr;
-  r
+let history t = t.info.History.history
+let thread t i = (History.get (history t) i).Action.thread
+let is_nontxn t i = t.info.History.txn_of.(i) = -1
+let po t i j = i < j && thread t i = thread t j
+let xpo t i j = po t i j && (Lazy.force t.next_txbegin).(i) < j
+let cl t i j = i < j && is_nontxn t i && is_nontxn t j
 
+let af t i j =
+  i < j
+  && kind_is (history t) i (Action.Request Action.Fbegin)
+  && kind_is (history t) j (Action.Request Action.Txbegin)
+
+let completion_before t i j =
+  i < j && Action.is_completion (History.get (history t) i)
+
+let bf t i j =
+  completion_before t i j && kind_is (history t) j (Action.Response Action.Fend)
+
+let rt t i j =
+  completion_before t i j
+  && kind_is (history t) j (Action.Request Action.Txbegin)
+
+let writer t j = t.writer.(j)
+let wr t i j = i >= 0 && t.writer.(j) = i
+let txwr t i j = wr t i j && (not (is_nontxn t i)) && not (is_nontxn t j)
+let registers t = t.registers
 let hb_between t i j = Rel.mem t.hb i j

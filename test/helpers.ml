@@ -7,6 +7,15 @@ open Tm_model
 let x = 0
 let flag = 1
 
+(* [histories/] sits at the repo root: dune runs the suites from
+   [_build/default/test], where it is [../histories]; run by hand from
+   the root, it is [histories]. *)
+let histories_dir =
+  List.find_opt
+    (fun d -> Sys.file_exists (Filename.concat d "publication.txt"))
+    [ "../histories"; "histories" ]
+  |> Option.value ~default:"../histories"
+
 (* Figure 2 (publication), the only execution with both conflicting
    accesses: ν T1 T2 where ν writes x non-transactionally, T1 clears
    the flag, T2 reads the flag and then x. *)

@@ -45,6 +45,31 @@ let txnset_probes_allocate_nothing () =
   check int "entries unchanged" 4 (Txnset.length s);
   check int "last set wins" calls (Txnset.find s 42 ~default:(-1))
 
+(* ------------------------ allocation-free commit -------------------- *)
+
+(* Minor words allocated by the [commit] of a 2-write transaction,
+   summed over many transactions. *)
+module Commit_words (T : Tm_runtime.Tm_intf.S) = struct
+  let over_commits () =
+    let tm = T.create ~nregs:4 ~nthreads:1 () in
+    let total = ref 0 in
+    for i = 1 to 1000 do
+      let txn = T.txn_begin tm ~thread:0 in
+      T.write tm txn 1 i;
+      T.write tm txn 2 (-i);
+      total := !total + minor_words (fun () -> T.commit tm txn)
+    done;
+    !total
+end
+
+let tl2_commit_allocates_no_more_than_norec () =
+  let module A = Commit_words (Tl2) in
+  let module B = Commit_words (Tm_baselines.Norec) in
+  let tl2 = A.over_commits () and norec = B.over_commits () in
+  if tl2 > norec then
+    Alcotest.failf "1000 2-write commits: tl2 %d minor words, norec %d" tl2
+      norec
+
 (* --------------------------- span sampling ------------------------- *)
 
 let with_timers f =
@@ -176,6 +201,8 @@ let () =
         [
           Alcotest.test_case "probes allocate nothing" `Quick
             txnset_probes_allocate_nothing;
+          Alcotest.test_case "tl2 commit allocates no more than norec" `Quick
+            tl2_commit_allocates_no_more_than_norec;
         ] );
       ( "sampling",
         [

@@ -226,18 +226,9 @@ let test_text_parse_line () =
 
 (* ------------------------ sample history files --------------------- *)
 
-(* [histories/] sits at the repo root: dune runs the suite from
-   [_build/default/test], where it is [../histories]; run by hand from
-   the root, it is [histories]. *)
-let histories_dir =
-  List.find_opt
-    (fun d -> Sys.file_exists (Filename.concat d "publication.txt"))
-    [ "../histories"; "histories" ]
-  |> Option.value ~default:"../histories"
-
 let test_sample_files () =
   let load name =
-    match Text.of_file (Filename.concat histories_dir name) with
+    match Text.of_file (Filename.concat Helpers.histories_dir name) with
     | Ok h -> h
     | Error msg -> Alcotest.failf "cannot load %s: %s" name msg
   in

@@ -284,6 +284,70 @@ let test_permutations_with_duplicates () =
   check Alcotest.int "all distinct orders present" 6
     (List.length (List.sort_uniq compare distinct))
 
+(* A TM that writes back before it logs [committed] (TL2, TLRW) can be
+   read from first: T2 reads T1's x, writes x and completes while T1's
+   [committed] is still pending.  Ordering the writers of x by
+   completion puts T2 before T1 against the read (a cycle); the
+   canonical order places T1 where T2 first reads from it. *)
+let read_before_committed_history () =
+  let b = Builder.create () in
+  Builder.txbegin b 0;
+  Builder.write b 0 Helpers.x 1;
+  Builder.request b 0 Action.Txcommit;
+  Builder.txbegin b 1;
+  Builder.read b 1 Helpers.x 1;
+  Builder.write b 1 Helpers.x 2;
+  Builder.commit b 1;
+  Builder.response b 0 Action.Committed;
+  Builder.history b
+
+let test_canonical_read_before_committed () =
+  let h = read_before_committed_history () in
+  let rels = Relations.of_history h in
+  let by_completion = function
+    | Graph.Txn k as n -> (
+        match History.txn_completion rels.Relations.info k with
+        | Some c -> c
+        | None -> Graph.default_write_stamp rels n)
+    | n -> Graph.default_write_stamp rels n
+  in
+  (match Graph.build ~write_stamp:by_completion rels with
+  | Ok g -> check bool "completion order is cyclic" false (Graph.is_acyclic g)
+  | Error msg -> Alcotest.fail msg);
+  check bool "canonical check accepts" true
+    (Checker.is_opaque (Checker.check_canonical h));
+  check bool "monitor accepts" true (Monitor.check h = Monitor.Ok)
+
+(* The other end of the window: T1 reads y = vinit, writes x and logs
+   txcommit; T2 writes x and y and completes before T1 logs
+   [committed].  By completion, T2 precedes T1 on x, but T1 read the y
+   that T2 overwrote (a cycle); at their txcommit requests T1 precedes
+   T2. *)
+let committer_descheduled_history () =
+  let b = Builder.create () in
+  Builder.txbegin b 0;
+  Builder.read b 0 Helpers.flag Types.v_init;
+  Builder.write b 0 Helpers.x 1;
+  Builder.request b 0 Action.Txcommit;
+  Builder.txbegin b 1;
+  Builder.write b 1 Helpers.x 2;
+  Builder.write b 1 Helpers.flag 3;
+  Builder.commit b 1;
+  Builder.response b 0 Action.Committed;
+  Builder.history b
+
+let test_canonical_committer_descheduled () =
+  let h = committer_descheduled_history () in
+  let rels = Relations.of_history h in
+  (match Graph.build rels with
+  | Ok g -> check bool "canonical order is cyclic" false (Graph.is_acyclic g)
+  | Error msg -> Alcotest.fail msg);
+  (match Graph.build ~write_stamp:(Graph.commit_request_stamp rels) rels with
+  | Ok g -> check bool "txcommit order is acyclic" true (Graph.is_acyclic g)
+  | Error msg -> Alcotest.fail msg);
+  check bool "canonical check accepts" true
+    (Checker.is_opaque (Checker.check_canonical h))
+
 let test_graph_invalid_vis () =
   (* forcing a read-from commit-pending transaction invisible violates
      Definition 6.3 *)
@@ -554,5 +618,9 @@ let () =
             test_permutations_with_duplicates;
           Alcotest.test_case "invalid visibility rejected" `Quick
             test_graph_invalid_vis;
+          Alcotest.test_case "canonical order: read before committed" `Quick
+            test_canonical_read_before_committed;
+          Alcotest.test_case "canonical order: committer descheduled" `Quick
+            test_canonical_committer_descheduled;
         ] );
     ]

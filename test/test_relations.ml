@@ -63,6 +63,15 @@ let test_rel_large_indices () =
 
 (* ------------------------ hb components -------------------------- *)
 
+let count_pairs n p =
+  let c = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if p i j then incr c
+    done
+  done;
+  !c
+
 let test_po_cl () =
   let b = Builder.create () in
   Builder.write b 0 Helpers.x 1;
@@ -70,9 +79,9 @@ let test_po_cl () =
   Builder.write b 0 Helpers.x 3;
   let r = Relations.of_history (Builder.history b) in
   (* indices: 0-1 write t0; 2-3 write t1; 4-5 write t0 *)
-  check bool "po same thread" true (Rel.mem r.Relations.po 0 4);
-  check bool "po not cross-thread" false (Rel.mem r.Relations.po 0 2);
-  check bool "cl cross-thread nontxn" true (Rel.mem r.Relations.cl 0 2);
+  check bool "po same thread" true (Relations.po r 0 4);
+  check bool "po not cross-thread" false (Relations.po r 0 2);
+  check bool "cl cross-thread nontxn" true (Relations.cl r 0 2);
   check bool "hb contains cl" true (Rel.mem r.Relations.hb 0 2)
 
 let test_wr_dependency () =
@@ -85,10 +94,8 @@ let test_wr_dependency () =
   Builder.commit b 1;
   let r = Relations.of_history (Builder.history b) in
   (* write request at 2; read response at 9 *)
-  let wr_x = List.assoc Helpers.x r.Relations.wr in
-  check bool "wr edge" true (Rel.mem wr_x 2 9);
-  let txwr_x = List.assoc Helpers.x r.Relations.txwr in
-  check bool "txwr edge" true (Rel.mem txwr_x 2 9)
+  check bool "wr edge" true (Relations.wr r 2 9);
+  check bool "txwr edge" true (Relations.txwr r 2 9)
 
 let test_wr_not_txwr_for_nontxn () =
   let b = Builder.create () in
@@ -96,12 +103,12 @@ let test_wr_not_txwr_for_nontxn () =
   Builder.txbegin b 1;
   Builder.read b 1 Helpers.x 5;
   Builder.commit b 1;
-  let r = Relations.of_history (Builder.history b) in
-  let wr_x = List.assoc Helpers.x r.Relations.wr in
-  let txwr_x = List.assoc Helpers.x r.Relations.txwr in
-  check bool "wr present" true (Rel.cardinal wr_x = 1);
+  let h = Builder.history b in
+  let r = Relations.of_history h in
+  let n = History.length h in
+  check bool "wr present" true (count_pairs n (Relations.wr r) = 1);
   check bool "txwr empty (writer non-transactional)" true
-    (Rel.cardinal txwr_x = 0)
+    (count_pairs n (Relations.txwr r) = 0)
 
 let test_fence_relations () =
   let h = Helpers.privatization_fenced_history () in
@@ -117,7 +124,7 @@ let test_fence_relations () =
     !found
   in
   check bool "found fend" true (fend >= 0);
-  check bool "bf: T2 completion before fend" true (Rel.mem r.Relations.bf 7 fend)
+  check bool "bf: T2 completion before fend" true (Relations.bf r 7 fend)
 
 let test_af_relation () =
   let b = Builder.create () in
@@ -126,7 +133,7 @@ let test_af_relation () =
   Builder.commit b 1;
   let r = Relations.of_history (Builder.history b) in
   (* fbegin at 0, txbegin at 2 *)
-  check bool "af edge" true (Rel.mem r.Relations.af 0 2);
+  check bool "af edge" true (Relations.af r 0 2);
   check bool "af in hb" true (Rel.mem r.Relations.hb 0 2)
 
 let test_xpo_txwr_publication () =
@@ -145,7 +152,7 @@ let test_rt_order () =
   Builder.commit b 1;
   let r = Relations.of_history (Builder.history b) in
   (* completion of txn 1 at index 3; txbegin of txn 2 at index 4 *)
-  check bool "rt orders non-overlapping txns" true (Rel.mem r.Relations.rt 3 4)
+  check bool "rt orders non-overlapping txns" true (Relations.rt r 3 4)
 
 (* ------------------------------ DRF ------------------------------ *)
 
@@ -235,6 +242,257 @@ let prop_online_races_sound =
       let offline = norm (Race.races (Relations.of_history h)) in
       List.for_all (fun r -> List.mem r offline)
         (norm (Online_race.check h)))
+
+
+(* ----------------------- all-pairs hb oracle ----------------------- *)
+
+(* The all-pairs construction of Definition 3.4: every base relation as
+   an explicit bitset from its definition, their union with xpo;txwr_x
+   per register, then Warshall.  [Relations] builds hb from sparse
+   generators instead; the two must agree. *)
+module Oracle = struct
+  let kind h i = (History.get h i).Action.kind
+  let thread h i = (History.get h i).Action.thread
+  let nontxn (info : History.info) i = info.History.txn_of.(i) = -1
+
+  let po (info : History.info) i j =
+    let h = info.History.history in
+    i < j && thread h i = thread h j
+
+  (* a txbegin of the thread strictly between i and j *)
+  let xpo (info : History.info) i j =
+    let h = info.History.history in
+    po info i j
+    &&
+    let rec between k =
+      k < j
+      && ((thread h k = thread h i
+          && kind h k = Action.Request Action.Txbegin)
+         || between (k + 1))
+    in
+    between (i + 1)
+
+  let cl info i j = i < j && nontxn info i && nontxn info j
+
+  let af (info : History.info) i j =
+    let h = info.History.history in
+    i < j
+    && kind h i = Action.Request Action.Fbegin
+    && kind h j = Action.Request Action.Txbegin
+
+  let completion h i =
+    match kind h i with
+    | Action.Response (Action.Committed | Action.Aborted) -> true
+    | _ -> false
+
+  let bf (info : History.info) i j =
+    let h = info.History.history in
+    i < j && completion h i && kind h j = Action.Response Action.Fend
+
+  let rt (info : History.info) i j =
+    let h = info.History.history in
+    i < j && completion h i && kind h j = Action.Request Action.Txbegin
+
+  (* wr_x: a write(x,v) request to the ret(v) response, v ≠ vinit, of a
+     read(x) request *)
+  let wr_x (info : History.info) x i j =
+    let h = info.History.history in
+    match (kind h i, kind h j, info.History.request_of.(j)) with
+    | ( Action.Request (Action.Write (y, v)),
+        Action.Response (Action.Ret v'),
+        Some req ) ->
+        y = x && v = v' && v <> Types.v_init
+        && kind h req = Action.Request (Action.Read x)
+    | _ -> false
+
+  let txwr_x info x i j =
+    wr_x info x i j && (not (nontxn info i)) && not (nontxn info j)
+
+  let registers h =
+    List.sort_uniq compare
+      (List.filter_map Action.accessed_reg (History.to_list h))
+
+  let compose n a b =
+    let r = Rel.create n in
+    for i = 0 to n - 1 do
+      for k = 0 to n - 1 do
+        if Rel.mem a i k then
+          for j = 0 to n - 1 do
+            if Rel.mem b k j then Rel.add r i j
+          done
+      done
+    done;
+    r
+
+  let warshall n r =
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        if Rel.mem r i k then
+          for j = 0 to n - 1 do
+            if Rel.mem r k j then Rel.add r i j
+          done
+      done
+    done
+
+  let hb (info : History.info) =
+    let h = info.History.history in
+    let n = History.length h in
+    let rel p = Rel.of_pred n (p info) in
+    let xpo = rel xpo in
+    let r = Rel.create n in
+    List.iter (Rel.union_into ~dst:r) [ rel po; rel cl; rel af; rel bf ];
+    List.iter
+      (fun x -> Rel.union_into ~dst:r (compose n xpo (rel (fun i -> txwr_x i x))))
+      (registers h);
+    warshall n r;
+    r
+end
+
+(* Relations.hb against the oracle, and every base predicate against
+   its definition on all pairs. *)
+let agrees_with_oracle h =
+  let info = History.analyze h in
+  let r = Relations.compute info in
+  let n = History.length h in
+  let regs = Oracle.registers h in
+  let same name p q =
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if p i j <> q i j then
+          QCheck.Test.fail_reportf "%s differs at (%d,%d) on@.%a" name i j
+            History.pp h
+      done
+    done
+  in
+  same "po" (Relations.po r) (Oracle.po info);
+  same "xpo" (Relations.xpo r) (Oracle.xpo info);
+  same "cl" (Relations.cl r) (Oracle.cl info);
+  same "af" (Relations.af r) (Oracle.af info);
+  same "bf" (Relations.bf r) (Oracle.bf info);
+  same "rt" (Relations.rt r) (Oracle.rt info);
+  same "wr" (Relations.wr r) (fun i j ->
+      List.exists (fun x -> Oracle.wr_x info x i j) regs);
+  same "txwr" (Relations.txwr r) (fun i j ->
+      List.exists (fun x -> Oracle.txwr_x info x i j) regs);
+  if not (Rel.equal r.Relations.hb (Oracle.hb info)) then
+    QCheck.Test.fail_reportf "hb differs from the oracle on@.%a" History.pp h;
+  true
+
+let prop_hb_matches_oracle =
+  QCheck.Test.make ~name:"hb and base relations match the all-pairs oracle"
+    ~count:500
+    QCheck.(quad small_nat (int_range 1 4) (int_range 1 3) (int_range 1 9))
+    (fun (seed, threads, registers, steps) ->
+      agrees_with_oracle
+        (Tm_workloads.History_gen.generate ~seed ~threads ~registers ~steps ()))
+
+let test_oracle_history_files () =
+  let files =
+    Sys.readdir Helpers.histories_dir
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".txt")
+  in
+  check bool "history files found" true (files <> []);
+  List.iter
+    (fun f ->
+      match Text.of_file (Filename.concat Helpers.histories_dir f) with
+      | Ok h -> check bool (f ^ " agrees with the oracle") true (agrees_with_oracle h)
+      | Error e -> Alcotest.failf "cannot load %s: %s" f e)
+    files
+
+let test_oracle_figure_histories () =
+  List.iter
+    (fun fig ->
+      List.iter
+        (fun h ->
+          check bool
+            (fig.Tm_lang.Figures.f_name ^ " agrees with the oracle")
+            true (agrees_with_oracle h))
+        (Tm_lang.Explore.histories ~fuel:fig.Tm_lang.Figures.f_fuel
+           fig.Tm_lang.Figures.f_program))
+    Tm_lang.Figures.all
+
+(* ------------------- flat Rel against a pair list ------------------- *)
+
+(* Sizes that end exactly on and just past word boundaries, with pairs
+   drawn mostly from indices next to a boundary. *)
+let rel_model_gen =
+  QCheck.Gen.(
+    oneofl [ 63; 64; 126; 127; 189 ] >>= fun n ->
+    let idx =
+      frequency
+        [
+          (2, int_bound (n - 1));
+          (3, oneofl (List.filter (fun i -> i < n) [ 0; 1; 61; 62; 63; 64; 125; 126; 127; 188 ]));
+        ]
+    in
+    pair (return n) (list_size (int_bound 40) (pair idx idx)))
+
+let prop_rel_matches_pair_list =
+  QCheck.Test.make ~name:"flat Rel agrees with a list-of-pairs model"
+    ~count:300
+    (QCheck.make rel_model_gen)
+    (fun (n, pairs) ->
+      let model = List.sort_uniq compare pairs in
+      let forward = List.filter (fun (i, j) -> i < j) model in
+      let of_list ps =
+        let r = Rel.create n in
+        List.iter (fun (i, j) -> Rel.add r i j) ps;
+        r
+      in
+      let r = of_list model in
+      (* closure of a pair list by fixpoint *)
+      let rec close ps =
+        let ps' =
+          List.sort_uniq compare
+            (ps
+            @ List.concat_map
+                (fun (i, k) ->
+                  List.filter_map
+                    (fun (k', j) -> if k = k' then Some (i, j) else None)
+                    ps)
+                ps)
+        in
+        if ps' = ps then ps else close ps'
+      in
+      let compose a b =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun (i, k) ->
+               List.filter_map (fun (k', j) -> if k = k' then Some (i, j) else None) b)
+             a)
+      in
+      let f i = if i mod 3 = 2 then -1 else i / 3 in
+      let mapped =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (i, j) ->
+               if f i >= 0 && f j >= 0 && f i <> f j then Some (f i, f j)
+               else None)
+             model)
+      in
+      (* odd elements first, then even ones, each descending *)
+      let order =
+        Array.of_list
+          (List.rev (List.filter (fun i -> i mod 2 = 1) (List.init n Fun.id))
+          @ List.rev (List.filter (fun i -> i mod 2 = 0) (List.init n Fun.id)))
+      in
+      let pos = Array.make n 0 in
+      Array.iteri (fun p i -> pos.(i) <- p) order;
+      Rel.pairs r = model
+      && Rel.cardinal r = List.length model
+      && List.for_all (fun (i, j) -> Rel.mem r i j) model
+      && List.for_all
+           (fun i ->
+             Rel.successors r i
+             = List.filter_map (fun (i', j) -> if i = i' then Some j else None) model)
+           (List.filter (fun i -> i < n) [ 0; 62; 63; 64; n - 1 ])
+      && Rel.pairs (Rel.compose r r) = compose model model
+      && Rel.pairs (Rel.transitive_closure r) = close model
+      && Rel.pairs (Rel.transitive_closure (of_list forward)) = close forward
+      && Rel.pairs (Rel.map r ~size:((n / 3) + 1) f) = mapped
+      && Rel.respects_order r order
+         = List.for_all (fun (i, j) -> i = j || pos.(i) < pos.(j)) model)
 
 (* --------------------------- properties --------------------------- *)
 
@@ -379,6 +637,10 @@ let () =
           Alcotest.test_case "publication via xpo;txwr" `Quick
             test_xpo_txwr_publication;
           Alcotest.test_case "real-time order" `Quick test_rt_order;
+          Alcotest.test_case "oracle on history files" `Quick
+            test_oracle_history_files;
+          Alcotest.test_case "oracle on figure histories" `Quick
+            test_oracle_figure_histories;
         ] );
       ( "drf",
         [
@@ -409,5 +671,7 @@ let () =
             prop_toposort_respects_rel;
             prop_online_verdict_matches_offline;
             prop_online_races_sound;
+            prop_hb_matches_oracle;
+            prop_rel_matches_pair_list;
           ] );
     ]

@@ -308,28 +308,23 @@ let test_tl2_timestamp_invariants () =
   | Error msg -> Alcotest.fail msg
   | Ok g ->
       let ntxns = Array.length info.History.txns in
-      let check_edge rel name property =
-        Tm_relations.Rel.iter_pairs rel (fun a b ->
-            if a < ntxns && b < ntxns then
-              match (txn_stamps.(a), txn_stamps.(b)) with
-              | Some sa, Some sb ->
-                  if not (property sa sb) then
-                    Alcotest.failf "INV.5 violated on %s edge %d->%d" name a b
-              | _ -> ())
+      let check_pair name property a b =
+        if a < ntxns && b < ntxns then
+          match (txn_stamps.(a), txn_stamps.(b)) with
+          | Some sa, Some sb ->
+              if not (property sa sb) then
+                Alcotest.failf "INV.5 violated on %s edge %d->%d" name a b
+          | _ -> ()
       in
-      List.iter
-        (fun (_, r) ->
-          check_edge r "WR" (fun (_, wv) (rv', _) -> wv <= rv'))
-        g.Tm_opacity.Graph.wr;
-      List.iter
-        (fun (_, r) ->
-          check_edge r "WW" (fun (_, wv) (_, wv') -> wv < wv'))
-        g.Tm_opacity.Graph.ww;
-      List.iter
-        (fun (_, r) ->
-          check_edge r "RW" (fun (rv, _) (_, wv') -> rv < wv'))
-        g.Tm_opacity.Graph.rw;
-      check_edge g.Tm_opacity.Graph.rt "RT" (fun _ (rv', _) -> rv' >= 0);
+      let check_dep kind name property =
+        Tm_opacity.Graph.iter_dep g kind (fun _ a b ->
+            check_pair name property a b)
+      in
+      check_dep Tm_opacity.Graph.WR "WR" (fun (_, wv) (rv', _) -> wv <= rv');
+      check_dep Tm_opacity.Graph.WW "WW" (fun (_, wv) (_, wv') -> wv < wv');
+      check_dep Tm_opacity.Graph.RW "RW" (fun (rv, _) (_, wv') -> rv < wv');
+      Tm_relations.Rel.iter_pairs g.Tm_opacity.Graph.rt
+        (check_pair "RT" (fun _ (rv', _) -> rv' >= 0));
       (* INV.5(a), both visibility cases *)
       Tm_relations.Rel.iter_pairs g.Tm_opacity.Graph.rt (fun a b ->
           if a < ntxns && b < ntxns then
