@@ -34,17 +34,6 @@ let node_thread g n =
   | Txn k -> info.History.txns.(k).History.t_thread
   | Access a -> info.History.accesses.(a).History.a_thread
 
-let default_vis_pending (rels : Relations.t) k =
-  (* Visible iff read from by an action outside the transaction. *)
-  let txn_of = rels.Relations.info.History.txn_of in
-  let n = Array.length txn_of in
-  let rec go j =
-    j < n
-    && (let w = Relations.writer rels j in
-        (w >= 0 && txn_of.(w) = k && txn_of.(j) <> k) || go (j + 1))
-  in
-  go 0
-
 (* For each transaction, the first read response of another node that
    returns one of its values, or max_int. *)
 let first_external_reads (rels : Relations.t) =
@@ -56,6 +45,11 @@ let first_external_reads (rels : Relations.t) =
       first.(txn_of.(w)) <- j
   done;
   first
+
+(* Visible iff read from by an action outside the transaction. *)
+let default_vis_pending (rels : Relations.t) =
+  let first_read = lazy (first_external_reads rels) in
+  fun k -> (Lazy.force first_read).(k) < max_int
 
 let default_write_stamp (rels : Relations.t) =
   let first_read = lazy (first_external_reads rels) in

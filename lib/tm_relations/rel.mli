@@ -58,9 +58,6 @@ val respects_order : t -> int array -> bool
     [{0..n-1}] once, iff [i] comes before [j] in [order] for every pair
     [(i,j) ∈ r] with [i ≠ j].  O(n · n/63): no pair is enumerated. *)
 
-val iter_succ : t -> int -> (int -> unit) -> unit
-(** [iter_succ r i f] calls [f j] for each [(i,j) ∈ r], [j] ascending. *)
-
 val iter_pairs : t -> (int -> int -> unit) -> unit
 val fold_pairs : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
 val pairs : t -> (int * int) list
