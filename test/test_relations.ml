@@ -412,7 +412,7 @@ let test_oracle_figure_histories () =
            fig.Tm_lang.Figures.f_program))
     Tm_lang.Figures.all
 
-(* ------------------- flat Rel against a pair list ------------------- *)
+(* --------------------- Rel against a pair list --------------------- *)
 
 (* Sizes that end exactly on and just past word boundaries, with pairs
    drawn mostly from indices next to a boundary. *)
@@ -429,7 +429,7 @@ let rel_model_gen =
     pair (return n) (list_size (int_bound 40) (pair idx idx)))
 
 let prop_rel_matches_pair_list =
-  QCheck.Test.make ~name:"flat Rel agrees with a list-of-pairs model"
+  QCheck.Test.make ~name:"Rel agrees with a list-of-pairs model"
     ~count:300
     (QCheck.make rel_model_gen)
     (fun (n, pairs) ->
