@@ -706,8 +706,8 @@ let obs_bench () =
 
 (* ------------------- TL2 hot-path benchmark ------------------------- *)
 
-(* Throughput of the overhauled TL2 (packed lock words, read-only
-   commit fast path, reusable descriptors, striped metadata) against
+(* Throughput of the overhauled TL2 (packed lock words next to their
+   values, read-only commit fast path, reusable descriptors) against
    the frozen Figure 9 implementation ("tl2-two-word"), on three mixes:
 
    - read-only: 8-read transactions over 256 registers — all commits

@@ -27,12 +27,15 @@ module Make (S : Sched_intf.S) = struct
 
   type t = {
     clock : int Atomic.t;
-    reg : Padded.t;  (** register values, cache-line striped *)
-    vlock : Padded.t;  (** packed version+lock word per register *)
-    active : Padded.t;  (** 0/1 per thread, for the flag-scan fence *)
+    mem : int Atomic.t array;
+        (** register [x]'s packed version+lock word at [2x], its value
+            at [2x+1]; one [Array.init] lays their atomic blocks out
+            side by side, so a read touches two cache lines, one of
+            pointer slots and one of blocks *)
     epoch : Padded.t;
-        (** per thread, for the epoch fence: odd while a transaction is
-            running, even when quiescent (RCU-style grace periods) *)
+        (** per thread: odd while a transaction is running, even when
+            quiescent; the flag scan reads its low bit, the epoch fence
+            waits for it to move (RCU-style grace periods) *)
     fence_impl : fence_impl;
     recorder : Recorder.t option;
     variant : variant;
@@ -56,8 +59,8 @@ module Make (S : Sched_intf.S) = struct
 
   (* One descriptor per thread, cleared (O(1)) at [txn_begin] rather
      than allocated: each thread runs at most one transaction at a
-     time (the per-thread [active] flag already encodes this), so the
-     TL2 fast path allocates nothing per transaction. *)
+     time (its odd epoch already encodes this), so the TL2 fast path
+     allocates nothing per transaction. *)
   and txn = {
     thread : int;
     mutable seq : int;
@@ -66,6 +69,7 @@ module Make (S : Sched_intf.S) = struct
     mutable wver : int;
     rset : Txnset.t;
     wset : Txnset.t;
+    seen : int array;  (** per-thread epochs a fence of this thread saw *)
   }
 
   let create_with ?recorder ?(variant = Normal) ?(fence_impl = Flag_scan)
@@ -73,10 +77,12 @@ module Make (S : Sched_intf.S) = struct
       ?log_timestamps ~nregs ~nthreads () =
     {
       clock = Atomic.make 0;
-      reg = Padded.make nregs Types.v_init;
-      vlock = Padded.make nregs (Vlock.pack ~ver:0 ~locked:false);
-      active = Padded.make nthreads 0;
-      epoch = Padded.make nthreads 0;
+      mem =
+        Array.init (2 * nregs) (fun i ->
+            Atomic.make
+              (if i land 1 = 0 then Vlock.pack ~ver:0 ~locked:false
+               else Types.v_init));
+      epoch = Padded.make nthreads;
       fence_impl;
       recorder;
       variant;
@@ -100,6 +106,7 @@ module Make (S : Sched_intf.S) = struct
               wver = max_int;
               rset = Txnset.create ();
               wset = Txnset.create ();
+              seen = Array.make nthreads 0;
             });
       obs = Obs.create ~nthreads ();
     }
@@ -107,6 +114,8 @@ module Make (S : Sched_intf.S) = struct
   let create ?recorder ~nregs ~nthreads () =
     create_with ?recorder ~nregs ~nthreads ()
 
+  let[@inline] lock_cell t x = t.mem.(2 * x)
+  let[@inline] value_cell t x = t.mem.((2 * x) + 1)
   let clock t = Atomic.get t.clock
 
   let timestamp_log t = List.rev (Atomic.get t.timestamp_log)
@@ -138,15 +147,14 @@ module Make (S : Sched_intf.S) = struct
     match t.recorder with Some _ -> true | None -> false
 
   (* The abort handler of Figure 9 (lines 57-59): answer the pending
-     request with [aborted], then clear the active flag.  The ordering
-     matters for recorded histories: a fence waiting on [active] must
+     request with [aborted], then leave the odd epoch.  The ordering
+     matters for recorded histories: a fence waiting on the epoch must
      observe the completion action already logged (condition 10). *)
   let abort_handler t txn cause =
     if recording t then
       log t ~thread:txn.thread (Action.Response Action.Aborted);
     record_timestamps t txn;
     S.yield ();
-    Padded.set t.active txn.thread 0;
     Padded.incr t.epoch txn.thread;
     Atomic.incr t.aborts;
     Obs.incr_abort t.obs ~thread:txn.thread cause;
@@ -158,7 +166,6 @@ module Make (S : Sched_intf.S) = struct
        scheduling point between: a fence whose [Fbegin] follows our
        [Txbegin] in the history must observe the transaction as active
        (condition 10, the converse of the completion ordering below). *)
-    Padded.set t.active thread 1;
     Padded.incr t.epoch thread;
     if recording t then log t ~thread (Action.Request Action.Txbegin);
     let txn = t.descs.(thread) in
@@ -184,11 +191,11 @@ module Make (S : Sched_intf.S) = struct
     end
     else begin
       S.yield ();
-      let w1 = Padded.get t.vlock x in
+      let w1 = Atomic.get (lock_cell t x) in
       S.yield ();
-      let value = Padded.get t.reg x in
+      let value = Atomic.get (value_cell t x) in
       S.yield ();
-      let w2 = Padded.get t.vlock x in
+      let w2 = Atomic.get (lock_cell t x) in
       let torn = Vlock.locked w1 || Vlock.locked w2 || w1 <> w2 in
       if
         t.variant <> No_read_validation
@@ -227,7 +234,7 @@ module Make (S : Sched_intf.S) = struct
     while !ok && !i < n do
       let x = Txnset.key txn.rset !i in
       S.yield ();
-      let w = Padded.get t.vlock x in
+      let w = Atomic.get (lock_cell t x) in
       let locked_by_other =
         Vlock.locked w && not (writer && Txnset.mem txn.wset x)
       in
@@ -241,7 +248,6 @@ module Make (S : Sched_intf.S) = struct
       log t ~thread:txn.thread (Action.Response Action.Committed);
     record_timestamps t txn;
     S.yield ();
-    Padded.set t.active txn.thread 0;
     Padded.incr t.epoch txn.thread;
     Atomic.incr t.commits;
     Obs.incr_commit t.obs ~thread:txn.thread
@@ -255,11 +261,11 @@ module Make (S : Sched_intf.S) = struct
     else begin
       let x = Txnset.key txn.wset i in
       S.yield ();
-      let w = Padded.get t.vlock x in
+      let w = Atomic.get (lock_cell t x) in
       if Vlock.locked w then i
       else begin
         S.yield ();
-        if Padded.cas t.vlock x w (Vlock.lock w) then
+        if Atomic.compare_and_set (lock_cell t x) w (Vlock.lock w) then
           acquire_locks t txn (i + 1)
         else i
       end
@@ -270,9 +276,9 @@ module Make (S : Sched_intf.S) = struct
     for i = k - 1 downto 0 do
       let x = Txnset.key txn.wset i in
       S.yield ();
-      let w = Padded.get t.vlock x in
+      let w = Atomic.get (lock_cell t x) in
       S.yield ();
-      Padded.set t.vlock x (Vlock.unlock w)
+      Atomic.set (lock_cell t x) (Vlock.unlock w)
     done
 
   let commit t txn =
@@ -289,15 +295,23 @@ module Make (S : Sched_intf.S) = struct
          to write back, and — decisively — no global-clock
          [fetch_and_add]: a read-only commit that bumps the clock only
          manufactures [Timestamp_drift] aborts in every concurrent
-         reader.  Validation against the unchanged [rver] suffices;
-         the transaction serializes at its snapshot, so the snapshot
-         version doubles as its effective write timestamp in the
-         {!timestamp_log} (INV.5's visibility ordering needs one). *)
+         reader.  Validation against the unchanged [rver] suffices,
+         and only if the clock moved: a writer that overwrites a
+         register after we read it takes its timestamp after that
+         read, so with the clock still at [rver] no read is stale
+         (DISC 2006, §2).  The transaction serializes at its snapshot,
+         so the snapshot version doubles as its effective write
+         timestamp in the {!timestamp_log} (INV.5's visibility
+         ordering needs one). *)
       let t0 =
         Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Commit_validation
       in
-      let valid = t.variant = No_commit_validation
-                  || validate_rset t txn ~writer:false in
+      let valid =
+        t.variant = No_commit_validation
+        || (S.yield ();
+            Atomic.get t.clock = txn.rver)
+        || validate_rset t txn ~writer:false
+      in
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Commit_validation t0;
       if not valid then abort_handler t txn Obs.Commit_validation;
       txn.wver <- txn.rver;
@@ -325,12 +339,17 @@ module Make (S : Sched_intf.S) = struct
       S.yield ();
       let wver = Atomic.fetch_and_add t.clock 1 + 1 in
       txn.wver <- wver;
-      (* Phase 3: read-set validation (lines 20-26). *)
+      (* Phase 3: read-set validation (lines 20-26), skipped when no
+         other writer took a timestamp between our begin and ours: any
+         later one serializes after us. *)
       let t0 =
         Obs.start_sampled t.obs ~thread:txn.thread Obs.Span.Commit_validation
       in
-      let valid = t.variant = No_commit_validation
-                  || validate_rset t txn ~writer:true in
+      let valid =
+        t.variant = No_commit_validation
+        || wver = txn.rver + 1
+        || validate_rset t txn ~writer:true
+      in
       Obs.stop t.obs ~thread:txn.thread Obs.Span.Commit_validation t0;
       if not valid then begin
         unlock_locks t txn nw;
@@ -349,9 +368,9 @@ module Make (S : Sched_intf.S) = struct
         let x = Txnset.key txn.wset i in
         let v = Txnset.value txn.wset i in
         S.yield ();
-        Padded.set t.reg x v;
+        Atomic.set (value_cell t x) v;
         S.yield ();
-        Padded.set t.vlock x (Vlock.pack ~ver:wver ~locked:false);
+        Atomic.set (lock_cell t x) (Vlock.pack ~ver:wver ~locked:false);
         (* optional widening of the window between individual
            write-backs (exhibits Figure 3's intermediate states, E4) *)
         if delayed then
@@ -374,13 +393,13 @@ module Make (S : Sched_intf.S) = struct
   let read_nt t ~thread x =
     S.yield ();
     match t.recorder with
-    | None -> Padded.get t.reg x
+    | None -> Atomic.get (value_cell t x)
     | Some r ->
         (* The memory access happens inside the recorder's critical
            section so the access is adjacent in the history and ordered
            after the write it reads from. *)
         Recorder.critical r ~thread (fun push ->
-            let v = Padded.get t.reg x in
+            let v = Atomic.get (value_cell t x) in
             push (Action.Request (Action.Read x));
             push (Action.Response (Action.Ret v));
             v)
@@ -388,47 +407,37 @@ module Make (S : Sched_intf.S) = struct
   let write_nt t ~thread x v =
     S.yield ();
     match t.recorder with
-    | None -> Padded.set t.reg x v
+    | None -> Atomic.set (value_cell t x) v
     | Some r ->
         (* The stamp block is reserved before the store: a reader that
            observes [v] is stamped after this write. *)
         Recorder.critical_pre r ~thread ~slots:2 (fun push ->
-            Padded.set t.reg x v;
+            Atomic.set (value_cell t x) v;
             push (Action.Request (Action.Write (x, v)));
             push (Action.Response Action.Ret_unit))
 
-  (* The paper's two-pass flag scan (Figure 7, lines 33-39). *)
-  let fence_flag_scan t =
-    let nthreads = Padded.length t.active in
-    let r = Array.make nthreads false in
-    for u = 0 to nthreads - 1 do
-      S.yield ();
-      r.(u) <- Padded.get t.active u <> 0
-    done;
-    for u = 0 to nthreads - 1 do
-      if r.(u) then begin
-        S.yield ();
-        while Padded.get t.active u <> 0 do
-          S.spin ()
-        done
-      end
-    done
+  (* Has thread [u], seen at epoch [e0] by the fence's first pass, not
+     yet let the fence through?  The paper's flag scan (Figure 7, lines
+     33-39) waits until [u]'s active flag, its epoch's low bit, is
+     clear; the RCU-style grace period waits only until the epoch has
+     moved, so it never waits for a transaction that began after the
+     fence did, even if [u] is inside one again by the time it looks. *)
+  let still_inside t u e0 =
+    let e = Padded.get t.epoch u in
+    match t.fence_impl with Flag_scan -> e land 1 = 1 | Epoch -> e = e0
 
-  (* RCU-style grace period: snapshot per-thread epochs and wait until
-     every thread that was inside a transaction (odd epoch) has moved on.
-     Unlike the flag scan, this never waits for a transaction that began
-     after the fence did, even if the flag is set again quickly. *)
-  let fence_epoch t =
-    let nthreads = Padded.length t.epoch in
-    let snapshot = Array.make nthreads 0 in
-    for u = 0 to nthreads - 1 do
+  (* Two passes: snapshot every epoch, then wait on each thread that
+     was inside a transaction.  The snapshot lives in the fencing
+     thread's descriptor, so a fence allocates nothing. *)
+  let fence_wait t seen =
+    for u = 0 to Array.length seen - 1 do
       S.yield ();
-      snapshot.(u) <- Padded.get t.epoch u
+      seen.(u) <- Padded.get t.epoch u
     done;
-    for u = 0 to nthreads - 1 do
-      if snapshot.(u) land 1 = 1 then begin
+    for u = 0 to Array.length seen - 1 do
+      if seen.(u) land 1 = 1 then begin
         S.yield ();
-        while Padded.get t.epoch u = snapshot.(u) do
+        while still_inside t u seen.(u) do
           S.spin ()
         done
       end
@@ -437,9 +446,7 @@ module Make (S : Sched_intf.S) = struct
   let fence t ~thread =
     log t ~thread (Action.Request Action.Fbegin);
     let t0 = Obs.start_sampled t.obs ~thread Obs.Span.Fence_wait in
-    (match t.fence_impl with
-    | Flag_scan -> fence_flag_scan t
-    | Epoch -> fence_epoch t);
+    fence_wait t t.descs.(thread).seen;
     Obs.stop t.obs ~thread Obs.Span.Fence_wait t0;
     log t ~thread (Action.Response Action.Fend)
 end

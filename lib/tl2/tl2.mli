@@ -8,13 +8,15 @@
     their write-set, re-validating their read-set before write-back —
     except that, as in original TL2, a read-only transaction commits
     after validation alone, acquiring no locks and never touching the
-    global clock.  A per-thread [active] flag supports the fence: the
-    fence snapshots all active flags, then waits until every thread
-    whose flag was set clears it (lines 33-39 of Figure 7).
+    global clock; and a commit re-validates its read-set only if
+    another writer took a timestamp since it began.  A per-thread epoch,
+    odd inside a transaction, supports the fence: the fence snapshots
+    all epochs, then waits until every thread whose active flag (the
+    epoch's low bit) was set clears it (lines 33-39 of Figure 7).
 
     The hot paths deviate from the Figure 9 pseudocode for performance
-    (packed lock word, read-only fast path, reusable per-thread
-    descriptors, cache-line striping); see DESIGN.md "Hot-path
+    (packed lock word next to its value, read-only fast path, reusable
+    per-thread descriptors); see DESIGN.md "Hot-path
     deviations from Figure 9".  The paper-shaped two-word
     implementation is preserved as {!Legacy} and registered as
     ["tl2-two-word"].

@@ -1,14 +1,13 @@
-(* Striped atomic int arrays: best-effort cache-line separation.
+(* Striped atomic int arrays: best-effort cache-line separation for
+   per-thread words that different domains write.
 
    OCaml 5.1 has no [Atomic.make_contended], and an [int Atomic.t
    array] made with [Array.init] places its boxed atomics
-   consecutively on the heap, so logically independent registers (or
-   per-thread flags) share cache lines and false-share under
-   multi-domain runs.  The same problem motivated the per-thread
-   sharding of {!Recorder}; here the cure is striping: allocate
+   consecutively on the heap, so the words of different threads would
+   share cache lines and false-share.  The cure is striping: allocate
    [stride] atomics per logical slot, in one allocation pass so they
    are laid out consecutively, and use only every stride-th one.  At
-   the default stride of 8 (each atomic is a 2-word block, ~16 bytes)
+   a stride of 8 (each atomic is a 2-word block, ~16 bytes)
    neighbouring live slots start ~128 bytes apart — a cache line plus
    the adjacent line the prefetcher drags in.
 
@@ -16,20 +15,9 @@
    allocation order survives promotion, and these arrays are allocated
    once at TM creation and live for the TM's lifetime. *)
 
-type t = { cells : int Atomic.t array; stride : int; length : int }
+type t = int Atomic.t array
 
-let default_stride = 8
-
-let make ?(stride = default_stride) n init =
-  {
-    cells = Array.init (n * stride) (fun _ -> Atomic.make init);
-    stride;
-    length = n;
-  }
-
-let length t = t.length
-let get t i = Atomic.get t.cells.(i * t.stride)
-let set t i v = Atomic.set t.cells.(i * t.stride) v
-let cas t i old v = Atomic.compare_and_set t.cells.(i * t.stride) old v
-let incr t i = Atomic.incr t.cells.(i * t.stride)
-let fetch_and_add t i d = Atomic.fetch_and_add t.cells.(i * t.stride) d
+let stride = 8
+let make n = Array.init (n * stride) (fun _ -> Atomic.make 0)
+let get t i = Atomic.get t.(i * stride)
+let incr t i = Atomic.incr t.(i * stride)

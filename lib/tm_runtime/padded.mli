@@ -1,21 +1,16 @@
-(** Striped atomic int arrays: logical slot [i] lives at physical
-    index [i * stride], with the in-between atomics serving purely as
-    padding, so independent hot slots do not share cache lines.
+(** Striped atomic int arrays for per-thread words written by different
+    domains (TL2's per-thread epochs): logical slot [i] lives at
+    physical index [i * 8], with the in-between atomics serving
+    purely as padding, so two threads' slots do not share a cache line.
     Best-effort false-sharing mitigation for OCaml 5.1, which lacks
     [Atomic.make_contended]. *)
 
 type t
 
-val default_stride : int
-(** 8: with ~16-byte atomic blocks, neighbouring live slots start ~128
-    bytes apart (a cache line plus its prefetch pair). *)
+val make : int -> t
+(** [make n]: [n] logical slots, all 0.  With ~16-byte atomic blocks,
+    neighbouring live slots start ~128 bytes apart (a cache line plus
+    its prefetch pair). *)
 
-val make : ?stride:int -> int -> int -> t
-(** [make n init]: [n] logical slots, all initialised to [init]. *)
-
-val length : t -> int
 val get : t -> int -> int
-val set : t -> int -> int -> unit
-val cas : t -> int -> int -> int -> bool
 val incr : t -> int -> unit
-val fetch_and_add : t -> int -> int -> int

@@ -70,6 +70,21 @@ let tl2_commit_allocates_no_more_than_norec () =
     Alcotest.failf "1000 2-write commits: tl2 %d minor words, norec %d" tl2
       norec
 
+(* A fence's per-thread snapshot lives in the fencing thread's
+   descriptor, not in a fresh array per fence. *)
+let tl2_fences_allocate_nothing () =
+  List.iter
+    (fun (name, fence_impl) ->
+      let tm = Tl2.create_with ~fence_impl ~nregs:4 ~nthreads:4 () in
+      check int
+        (name ^ ": minor words over 10k quiescent fences")
+        0
+        (minor_words (fun () ->
+             for _ = 1 to calls do
+               Tl2.fence tm ~thread:0
+             done)))
+    [ ("flag scan", Tl2.Flag_scan); ("epoch", Tl2.Epoch) ]
+
 (* --------------------------- span sampling ------------------------- *)
 
 let with_timers f =
@@ -203,6 +218,8 @@ let () =
             txnset_probes_allocate_nothing;
           Alcotest.test_case "tl2 commit allocates no more than norec" `Quick
             tl2_commit_allocates_no_more_than_norec;
+          Alcotest.test_case "tl2 fences allocate nothing" `Quick
+            tl2_fences_allocate_nothing;
         ] );
       ( "sampling",
         [

@@ -238,6 +238,61 @@ let fence_waits_for_active_txn fence_impl () =
   check bool "fence completed only after the transaction" true
     (fend > committed)
 
+(* Commit validation runs only if the clock moved (DISC 2006, §2).  A
+   reader reads x; a writer then locks x and is parked before its clock
+   fetch_and_add.  The reader's read-only commit finds the clock still
+   at its begin timestamp and commits without looking at x's lock
+   word; the writer, next to take a timestamp ([wver = rver + 1]),
+   commits after it.  The recorded history serializes the reader
+   first. *)
+let test_unmoved_clock_skips_validation () =
+  let recorder = Tm_runtime.Recorder.create () in
+  let tm = T.create_with ~recorder ~nregs:4 ~nthreads:2 () in
+  let read_done = ref false in
+  let probe_aborted = ref false in
+  let reader () =
+    let txn = T.txn_begin tm ~thread:0 in
+    check int "reader sees the initial value" Tm_model.Types.v_init
+      (T.read tm txn 0);
+    read_done := true;
+    T.commit tm txn;
+    (* the writer still holds x's lock: a fresh read of x aborts *)
+    let probe = T.txn_begin tm ~thread:0 in
+    probe_aborted := aborts (fun () -> T.read tm probe 0)
+  in
+  let writer () =
+    let txn = T.txn_begin tm ~thread:1 in
+    T.write tm txn 0 5;
+    T.commit tm txn
+  in
+  (* the writer's first five steps take it from its start past the
+     lock CAS to the scheduling point before its fetch_and_add *)
+  let writer_steps = ref 0 in
+  let pick ~step:_ ~current:_ ~runnable =
+    if not !read_done then 0
+    else if !writer_steps < 5 then begin
+      incr writer_steps;
+      1
+    end
+    else List.hd runnable
+  in
+  let info = Sched.run ~pick [| reader; writer |] in
+  check bool "both fibers completed" true
+    (Array.for_all Fun.id info.Sched.completed);
+  check bool "x was locked when the reader committed" true !probe_aborted;
+  check int "reader and writer committed" 2 (T.stats_commits tm);
+  check int "only the probe aborted" 1 (T.stats_aborts tm);
+  check int "the writer's commit is the only clock tick" 1 (T.clock tm);
+  check int "the writer's value landed" 5
+    (Sched.unscheduled (fun () -> T.read_nt tm ~thread:0 0));
+  let h = Tm_runtime.Recorder.history recorder in
+  check bool "history well formed" true
+    (Tm_model.History.well_formedness_errors h = []);
+  check bool "canonical checker accepts" true
+    (Tm_opacity.Checker.is_opaque (Tm_opacity.Checker.check_canonical h));
+  check bool "monitor accepts" true
+    (Tm_opacity.Monitor.check h = Tm_opacity.Monitor.Ok)
+
 let () =
   Alcotest.run "tl2"
     [
@@ -272,5 +327,7 @@ let () =
             (fence_waits_for_active_txn Tl2.Flag_scan);
           Alcotest.test_case "epoch fence waits for active txn" `Quick
             (fence_waits_for_active_txn Tl2.Epoch);
+          Alcotest.test_case "unmoved clock skips commit validation" `Quick
+            test_unmoved_clock_skips_validation;
         ] );
     ]
